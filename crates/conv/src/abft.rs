@@ -11,11 +11,16 @@
 //!
 //! where `S(t)` is the sum of the input values the tap `t` touches
 //! across all output pixels — a rectangle of a stride-phased subgrid of
-//! the tap's input channel. [`verify_output`] builds one 2-D prefix-sum
-//! table per (channel, row-phase, col-phase) so each `S(t)` is a
-//! four-lookup rectangle query; the whole check costs `O(C·H·W)` table
-//! construction plus `O(taps + out)` per layer — far below the
-//! convolution itself.
+//! the tap's input channel. [`verify_output`] first tabulates `S` for
+//! every (input channel, kernel row, kernel column), one rectangle
+//! query each over 2-D prefix sums of the channel's stride-phased
+//! subgrids. Each tap of the prediction is then one indexed load and an
+//! add, and the multiply is paid once per value group: the same
+//! accumulate-then-multiply shape as the ABM scheme itself. The check
+//! costs `O(C·H·W + C·K·K')` to build the table plus `O(taps + out)` per
+//! layer. That is far below a convolution layer, which reuses every tap
+//! at each output pixel; on an FC layer, which reads each tap once per
+//! image, it is of the same order as the layer.
 //!
 //! Because the predicted sum is exact integer arithmetic (accumulators
 //! stay well inside `i64`), *any* single-bit flip in an output
@@ -28,12 +33,13 @@
 //! between DDR admit and CU consume).
 
 use crate::abm::PreparedConv;
+use crate::dense::Geometry;
 use abm_fault::{stream_checksum_i16, AbmError};
-use abm_tensor::Tensor3;
+use abm_tensor::{Shape3, Tensor3};
 
-/// FNV digest of an input feature map — the "admit-side" signature the
-/// campaign compares against the consume-side stream to catch FI-Buffer
-/// word flips.
+/// Word-lane digest of an input feature map — the "admit-side"
+/// signature the campaign compares against the consume-side stream to
+/// catch FI-Buffer word flips.
 #[must_use]
 pub fn input_checksum(input: &Tensor3<i16>) -> u64 {
     stream_checksum_i16(input.as_slice())
@@ -93,34 +99,9 @@ pub fn verify_output(
         });
     }
 
-    let tables = PhaseTables::build(input, prep.geometry().stride);
-    let flat = prep.flat();
-    let shape = flat.shape();
-    let geom = prep.geometry();
-    let out_shape = prep.output_shape();
-    let pad = geom.pad as isize;
-    let m_per_group = shape.out_channels / geom.groups;
-    let out_plane = out_shape.rows * out_shape.cols;
+    let out_plane = prep.output_shape().rows * prep.output_shape().cols;
     let out_data = out.as_slice();
-
-    for (m, kernel) in flat.kernels().iter().enumerate() {
-        let channel_base = (m / m_per_group) * shape.in_channels;
-        let mut predicted = 0i64;
-        let bounds = kernel.group_bounds();
-        for (g, &value) in kernel.values().iter().enumerate() {
-            let taps = &kernel.taps()[bounds[g] as usize..bounds[g + 1] as usize];
-            let mut tap_sum = 0i64;
-            for tap in taps {
-                tap_sum += tables.tap_sum(
-                    channel_base + tap.n as usize,
-                    tap.k as isize - pad,
-                    tap.kp as isize - pad,
-                    out_shape.rows,
-                    out_shape.cols,
-                );
-            }
-            predicted += value as i64 * tap_sum;
-        }
+    for (m, predicted) in predicted_sums(prep, input).into_iter().enumerate() {
         let observed: i64 = out_data[m * out_plane..(m + 1) * out_plane].iter().sum();
         if observed != predicted {
             return Err(AbmError::AbftMismatch {
@@ -133,89 +114,120 @@ pub fn verify_output(
     Ok(())
 }
 
-/// Per-(channel, row-phase, col-phase) 2-D prefix sums over the
-/// stride-phased subgrids of the input. For stride 1 this degenerates
-/// to one plain prefix table per channel.
-struct PhaseTables {
-    stride: usize,
-    in_rows: usize,
-    in_cols: usize,
-    /// Indexed `[channel * s * s + a * s + b]`; each entry is a
-    /// `(rows(a)+1) × (cols(b)+1)` prefix table, row-major.
-    tables: Vec<Vec<i64>>,
+/// The predicted plane sum of every output channel:
+/// `Σ_groups v_g · Σ_{taps t ∈ g} S(t)`, one table load per tap.
+fn predicted_sums(prep: &PreparedConv, input: &Tensor3<i16>) -> Vec<i64> {
+    let flat = prep.flat();
+    let shape = flat.shape();
+    let (kr, kc) = (shape.kernel_rows, shape.kernel_cols);
+    let sums = tap_sums(input, prep.geometry(), kr, kc, prep.output_shape());
+    // One group's slice of the table covers exactly its kernels' taps.
+    let volume = shape.in_channels * kr * kc;
+    let m_per_group = shape.out_channels / prep.geometry().groups;
+    flat.kernels()
+        .iter()
+        .enumerate()
+        .map(|(m, kernel)| {
+            let table = sums.get((m / m_per_group) * volume..).unwrap_or(&[]);
+            kernel
+                .tap_groups()
+                .map(|(value, taps)| {
+                    // A tap outside the kernel volume only exists in a
+                    // corrupted stream (which the code checksum catches
+                    // first); it predicts 0 rather than panicking.
+                    let tap_sum: i64 = taps
+                        .iter()
+                        .map(|t| {
+                            let i = (t.n as usize * kr + t.k as usize) * kc + t.kp as usize;
+                            table.get(i).copied().unwrap_or(0)
+                        })
+                        .sum();
+                    value as i64 * tap_sum
+                })
+                .sum()
+        })
+        .collect()
 }
 
-impl PhaseTables {
-    fn build(input: &Tensor3<i16>, stride: usize) -> Self {
-        let shape = input.shape();
-        let s = stride;
-        let data = input.as_slice();
-        let plane = shape.rows * shape.cols;
-        let grid = |dim: usize, phase: usize| {
-            if phase >= dim {
-                0
-            } else {
-                (dim - phase).div_ceil(s)
-            }
-        };
-        let mut tables = Vec::with_capacity(shape.channels * s * s);
-        for c in 0..shape.channels {
-            let chan = &data[c * plane..(c + 1) * plane];
-            for a in 0..s {
-                for b in 0..s {
-                    let gr = grid(shape.rows, a);
-                    let gc = grid(shape.cols, b);
-                    let mut p = vec![0i64; (gr + 1) * (gc + 1)];
-                    for i in 0..gr {
-                        let row = &chan[(a + i * s) * shape.cols..];
-                        for j in 0..gc {
-                            p[(i + 1) * (gc + 1) + (j + 1)] = row[b + j * s] as i64
-                                + p[i * (gc + 1) + (j + 1)]
-                                + p[(i + 1) * (gc + 1) + j]
-                                - p[i * (gc + 1) + j];
-                        }
+/// `S[c][k][kp]` for every input channel `c` and kernel position
+/// `(k, kp)`, flattened row-major: the sum of
+/// `input[c, orow·s + k − pad, ocol·s + kp − pad]` over all output
+/// pixels, where out-of-bounds reads are the padding zeros.
+///
+/// Each entry is one rectangle query over a 2-D prefix table of a
+/// stride-phased subgrid of channel `c`. The `s²` phase tables of one
+/// channel share a single scratch buffer, reused channel by channel.
+fn tap_sums(
+    input: &Tensor3<i16>,
+    geom: Geometry,
+    kernel_rows: usize,
+    kernel_cols: usize,
+    out: Shape3,
+) -> Vec<i64> {
+    let shape = input.shape();
+    let s = geom.stride;
+    let pad = geom.pad as isize;
+    let rows: Vec<_> = (0..kernel_rows)
+        .map(|k| span(k as isize - pad, s, shape.rows, out.rows))
+        .collect();
+    let cols: Vec<_> = (0..kernel_cols)
+        .map(|kp| span(kp as isize - pad, s, shape.cols, out.cols))
+        .collect();
+    // Subgrid length along an axis of `dim` positions for `phase`.
+    let grid = |dim: usize, phase: usize| dim.saturating_sub(phase).div_ceil(s);
+    // Phase (a, b)'s table is (grid(rows, a) + 1) × pitch[b], row-major,
+    // starting at start[a·s + b]; row 0 and column 0 stay zero.
+    let pitch: Vec<usize> = (0..s).map(|b| grid(shape.cols, b) + 1).collect();
+    let mut start = Vec::with_capacity(s * s);
+    let mut len = 0;
+    for a in 0..s {
+        for &p in &pitch {
+            start.push(len);
+            len += (grid(shape.rows, a) + 1) * p;
+        }
+    }
+    let mut prefix = vec![0i64; len];
+    let plane = shape.rows * shape.cols;
+    let data = input.as_slice();
+    let mut sums = Vec::with_capacity(shape.channels * kernel_rows * kernel_cols);
+    for c in 0..shape.channels {
+        let chan = &data[c * plane..(c + 1) * plane];
+        for a in 0..s {
+            for (b, &w) in pitch.iter().enumerate() {
+                let p = &mut prefix[start[a * s + b]..];
+                for i in 0..grid(shape.rows, a) {
+                    let row = &chan[(a + i * s) * shape.cols..];
+                    for j in 0..w - 1 {
+                        p[(i + 1) * w + j + 1] =
+                            row[b + j * s] as i64 + p[i * w + j + 1] + p[(i + 1) * w + j]
+                                - p[i * w + j];
                     }
-                    tables.push(p);
                 }
             }
         }
-        Self {
-            stride: s,
-            in_rows: shape.rows,
-            in_cols: shape.cols,
-            tables,
+        for r in &rows {
+            for col in &cols {
+                let (Some((a, i_lo, i_hi)), Some((b, j_lo, j_hi))) = (*r, *col) else {
+                    sums.push(0);
+                    continue;
+                };
+                let w = pitch[b];
+                let p = &prefix[start[a * s + b]..];
+                let at = |i: usize, j: usize| p[i * w + j];
+                sums.push(
+                    at(i_hi + 1, j_hi + 1) - at(i_lo, j_hi + 1) - at(i_hi + 1, j_lo)
+                        + at(i_lo, j_lo),
+                );
+            }
         }
     }
-
-    /// `S(t)` for the tap displaced `(dr, dc)` from the output origin on
-    /// input channel `c`: the sum of `input[c, orow·s + dr, ocol·s + dc]`
-    /// over all in-bounds output pixels (out-of-bounds reads are the
-    /// padding zeros and contribute nothing).
-    fn tap_sum(&self, c: usize, dr: isize, dc: isize, out_rows: usize, out_cols: usize) -> i64 {
-        let s = self.stride;
-        let Some((i_lo, i_hi)) = span(dr, s, self.in_rows, out_rows) else {
-            return 0;
-        };
-        let Some((j_lo, j_hi)) = span(dc, s, self.in_cols, out_cols) else {
-            return 0;
-        };
-        let a = dr.rem_euclid(s as isize) as usize;
-        let b = dc.rem_euclid(s as isize) as usize;
-        let gc = if b >= self.in_cols {
-            0
-        } else {
-            (self.in_cols - b).div_ceil(s)
-        };
-        let p = &self.tables[c * s * s + a * s + b];
-        let at = |i: usize, j: usize| p[i * (gc + 1) + j];
-        at(i_hi + 1, j_hi + 1) - at(i_lo, j_hi + 1) - at(i_hi + 1, j_lo) + at(i_lo, j_lo)
-    }
+    sums
 }
 
-/// The inclusive subgrid-index range `[i_lo, i_hi]` a tap displaced `d`
-/// covers along one axis, or `None` when no output position lands the
-/// tap inside the input.
-fn span(d: isize, s: usize, in_dim: usize, out_dim: usize) -> Option<(usize, usize)> {
+/// The phase `d mod s` and inclusive subgrid-index range `[i_lo, i_hi]`
+/// a tap displaced `d` covers along one axis, or `None` when no output
+/// position lands the tap inside the input.
+fn span(d: isize, s: usize, in_dim: usize, out_dim: usize) -> Option<(usize, usize, usize)> {
     let si = s as isize;
     // Smallest output index whose tapped input position is >= 0.
     let o_min = ((-d).max(0) as usize).div_ceil(s) as isize;
@@ -231,15 +243,16 @@ fn span(d: isize, s: usize, in_dim: usize, out_dim: usize) -> Option<(usize, usi
     // Subgrid index: with d = q·s + phase, position o maps to o + q.
     let a = d.rem_euclid(si);
     let q = (d - a) / si;
-    Some(((o_min + q) as usize, (o_max + q) as usize))
+    Some((a as usize, (o_min + q) as usize, (o_max + q) as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::Geometry;
+    use abm_fault::SplitMix64;
     use abm_sparse::LayerCode;
-    use abm_tensor::{Shape3, Shape4, Tensor3, Tensor4};
+    use abm_tensor::{Shape4, Tensor4};
+    use proptest::prelude::*;
 
     fn weights(shape: Shape4, salt: usize) -> Tensor4<i8> {
         Tensor4::from_fn(shape, |m, n, k, kp| {
@@ -320,6 +333,135 @@ mod tests {
                 assert!(
                     matches!(err, AbmError::AbftMismatch { kernel: k, .. } if k == kernel),
                     "bit {bit} idx {idx}: {err}"
+                );
+            }
+        }
+    }
+
+    /// Brute-force oracle for the predicted plane sums: every output
+    /// pixel times every kernel position, read straight from the dense
+    /// weights and the unpadded input.
+    fn direct_sums(w: &Tensor4<i8>, input: &Tensor3<i16>, geom: Geometry, out: Shape3) -> Vec<i64> {
+        let ws = w.shape();
+        let is = input.shape();
+        let m_per_group = ws.out_channels / geom.groups;
+        (0..ws.out_channels)
+            .map(|m| {
+                let c0 = (m / m_per_group) * ws.in_channels;
+                let mut sum = 0i64;
+                for orow in 0..out.rows {
+                    for ocol in 0..out.cols {
+                        for n in 0..ws.in_channels {
+                            for k in 0..ws.kernel_rows {
+                                for kp in 0..ws.kernel_cols {
+                                    let r = (orow * geom.stride + k).checked_sub(geom.pad);
+                                    let c = (ocol * geom.stride + kp).checked_sub(geom.pad);
+                                    if let (Some(r), Some(c)) = (r, c) {
+                                        if r < is.rows && c < is.cols {
+                                            sum += w[(m, n, k, kp)] as i64
+                                                * input[(c0 + n, r, c)] as i64;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                sum
+            })
+            .collect()
+    }
+
+    /// A random sparse layer (about half the weights zero, full `i8`
+    /// value range) and a random full-range input.
+    fn random_layer(
+        seed: u64,
+        in_shape: Shape3,
+        w_shape: Shape4,
+        geom: Geometry,
+    ) -> (Tensor4<i8>, PreparedConv, Tensor3<i16>) {
+        let mut rng = SplitMix64::new(seed);
+        let w = Tensor4::from_fn(w_shape, |_, _, _, _| {
+            if rng.below(2) == 0 {
+                0
+            } else {
+                rng.in_range(1, 255) as i16 as i8
+            }
+        });
+        let code = LayerCode::encode(&w).unwrap();
+        let prep = PreparedConv::try_new(&code, in_shape, geom).unwrap();
+        let input = Tensor3::from_fn(in_shape, |_, _, _| rng.next_u64() as i16);
+        (w, prep, input)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tap-table prediction equals the direct sum over every
+        /// stride, padding and grouping the executor supports.
+        #[test]
+        fn tap_table_matches_direct_sum(
+            (stride, pad, groups) in (1usize..5, 0usize..3, 1usize..3),
+            (n_per_group, m_per_group, kr, kc) in (1usize..4, 1usize..4, 1usize..8, 1usize..8),
+            (extra_rows, extra_cols, seed) in (0usize..9, 0usize..9, any::<u64>()),
+        ) {
+            let in_shape = Shape3::new(n_per_group * groups, kr + extra_rows, kc + extra_cols);
+            let w_shape = Shape4::new(m_per_group * groups, n_per_group, kr, kc);
+            let geom = Geometry::new(stride, pad).with_groups(groups);
+            let (w, prep, input) = random_layer(seed, in_shape, w_shape, geom);
+            let want = direct_sums(&w, &input, geom, prep.output_shape());
+            prop_assert_eq!(predicted_sums(&prep, &input), want);
+            let out = prep.execute(&input);
+            prop_assert!(verify_output(&prep, &input, &out).is_ok());
+        }
+
+        /// Fully-connected layers run as 1x1 convolutions over a 1x1
+        /// input: one tap-table entry per input feature.
+        #[test]
+        fn tap_table_matches_direct_sum_fc(
+            in_features in 1usize..600,
+            out_features in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let in_shape = Shape3::new(in_features, 1, 1);
+            let w_shape = Shape4::new(out_features, in_features, 1, 1);
+            let geom = Geometry::unit();
+            let (w, prep, input) = random_layer(seed, in_shape, w_shape, geom);
+            let want = direct_sums(&w, &input, geom, prep.output_shape());
+            prop_assert_eq!(predicted_sums(&prep, &input), want);
+        }
+    }
+
+    #[test]
+    fn output_bit_flips_are_detected_at_alexnet_scale() {
+        // AlexNet CONV1 (11x11, stride 4, full 227x227 input) and FC6
+        // (9216 input features), each with a slice of its kernels.
+        for (in_shape, w_shape, geom) in [
+            (
+                Shape3::new(3, 227, 227),
+                Shape4::new(8, 3, 11, 11),
+                Geometry::new(4, 0),
+            ),
+            (
+                Shape3::new(9216, 1, 1),
+                Shape4::new(16, 9216, 1, 1),
+                Geometry::unit(),
+            ),
+        ] {
+            let (_, prep, input) = random_layer(2019, in_shape, w_shape, geom);
+            let clean = prep.execute(&input);
+            verify_output(&prep, &input, &clean).unwrap();
+            let plane = clean.shape().rows * clean.shape().cols;
+            let mut rng = SplitMix64::new(7);
+            for _ in 0..64 {
+                let idx = rng.below(clean.len() as u64) as usize;
+                let bit = rng.below(63) as u32;
+                let mut corrupted = clean.clone();
+                corrupted.as_mut_slice()[idx] ^= 1i64 << bit;
+                let err = verify_output(&prep, &input, &corrupted).unwrap_err();
+                assert!(
+                    matches!(err, AbmError::AbftMismatch { kernel, .. } if kernel == idx / plane),
+                    "{in_shape:?} idx {idx} bit {bit}: {err}"
                 );
             }
         }

@@ -184,7 +184,7 @@ pub struct PreparedConv {
     interior_rows: Range<usize>,
     interior_cols: Range<usize>,
     work: AbmWork,
-    /// FNV digest of the flat streams, recorded at preparation: the
+    /// Word-lane digest of the flat streams, recorded at preparation: the
     /// golden signature [`verify_checksum`](Self::verify_checksum)
     /// compares against to catch post-load bit flips.
     checksum: u64,

@@ -220,10 +220,10 @@ impl Injector for PlanInjector {
     }
 }
 
-/// FNV-1a over a little-endian byte view of `words` — the checksum the
-/// runtime integrity guards use for both code streams and feature
-/// streams. Cheap (one multiply per byte), deterministic across
-/// platforms, and any single bit flip changes the digest.
+/// FNV-1a over a byte stream, used to derive fault-campaign RNG seeds
+/// from a network name. It is byte-serial; the runtime integrity guards
+/// use the word-lane digest ([`flat_checksum`](crate::flat_checksum),
+/// [`stream_checksum_i16`](crate::stream_checksum_i16)).
 #[must_use]
 pub fn fnv1a_bytes(words: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -232,18 +232,6 @@ pub fn fnv1a_bytes(words: impl IntoIterator<Item = u8>) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// [`fnv1a_bytes`] over an `i16` stream (the FI feature words).
-#[must_use]
-pub fn stream_checksum_i16(words: &[i16]) -> u64 {
-    fnv1a_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
-}
-
-/// [`fnv1a_bytes`] over a `u32` stream (the WT-Buffer offset words).
-#[must_use]
-pub fn stream_checksum_u32(words: &[u32]) -> u64 {
-    fnv1a_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
 #[cfg(test)]
@@ -312,24 +300,5 @@ mod tests {
         assert_eq!(i.bandwidth_derate_milli(1), 1000);
         assert!(!i.drops_deposit(0, 5));
         assert_eq!(i.delivered().len(), 2);
-    }
-
-    #[test]
-    fn checksums_see_every_bit() {
-        let base = vec![0i16, 1, -1, 127, -128, 1000];
-        let digest = stream_checksum_i16(&base);
-        for word in 0..base.len() {
-            for bit in 0..16 {
-                let mut flipped = base.clone();
-                flipped[word] ^= 1 << bit;
-                assert_ne!(
-                    stream_checksum_i16(&flipped),
-                    digest,
-                    "flip of word {word} bit {bit} must change the digest"
-                );
-            }
-        }
-        assert_eq!(stream_checksum_i16(&base), digest, "digest is pure");
-        assert_ne!(stream_checksum_u32(&[1, 2]), stream_checksum_u32(&[2, 1]));
     }
 }

@@ -140,8 +140,7 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// The smallest value that lands in bucket `idx` — the deterministic
-/// lower bound quantile queries report.
+/// The smallest value that lands in bucket `idx`.
 #[must_use]
 pub fn bucket_floor(idx: usize) -> u64 {
     if idx < LINEAR_BUCKETS as usize {
@@ -151,6 +150,17 @@ pub fn bucket_floor(idx: usize) -> u64 {
         let octave = FIRST_OCTAVE + rel / SUBS_PER_OCTAVE;
         let sub = (rel % SUBS_PER_OCTAVE) as u64;
         (1u64 << octave) + (sub << (octave - 2))
+    }
+}
+
+/// The largest value that lands in bucket `idx` — the deterministic
+/// upper bound quantile queries report.
+#[must_use]
+pub fn bucket_ceil(idx: usize) -> u64 {
+    if idx + 1 < HISTOGRAM_BUCKETS {
+        bucket_floor(idx + 1) - 1
+    } else {
+        u64::MAX
     }
 }
 
@@ -253,10 +263,11 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// Exact-rank quantile at bucket resolution: the floor of the
-    /// bucket containing the `ceil(q·count)`-th smallest observation
-    /// (clamped by the exact `max`, so `quantile(1.0) == max`).
-    /// Resolution is exact below 32 and within 25% above.
+    /// Exact-rank quantile at bucket resolution: the upper bound of the
+    /// bucket containing the `ceil(q·count)`-th smallest observation,
+    /// clamped by the exact `max` (so `quantile(1.0) == max`). Never
+    /// below the nearest-rank value; exact below 32 and at most 25%
+    /// above it beyond that.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -267,7 +278,7 @@ impl HistogramSnapshot {
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen = seen.saturating_add(n);
             if seen >= rank {
-                return bucket_floor(idx).min(self.max);
+                return bucket_ceil(idx).min(self.max);
             }
         }
         self.max
@@ -511,6 +522,7 @@ impl MetricSink for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_sums_across_threads() {
@@ -552,6 +564,50 @@ mod tests {
         // Exact in the linear range.
         for v in 0..32u64 {
             assert_eq!(bucket_floor(bucket_index(v)), v);
+        }
+    }
+
+    #[test]
+    fn bucket_ceil_bounds_every_member() {
+        for v in [0u64, 1, 31, 32, 33, 63, 64, 100, 1 << 20, u64::MAX] {
+            let idx = bucket_index(v);
+            assert!(bucket_ceil(idx) >= v, "ceil({idx}) < {v}");
+            assert_eq!(
+                bucket_index(bucket_ceil(idx)),
+                idx,
+                "ceil({idx}) leaves its bucket"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reported quantile is never below the nearest-rank value
+        /// of the raw samples, never above `max`, and within the 25%
+        /// bucket resolution of the true value.
+        #[test]
+        fn quantile_is_a_tight_upper_bound_on_nearest_rank(
+            samples in proptest::collection::vec((0u64..64, 0u32..40), 1..200),
+            q in 0.0f64..1.0,
+        ) {
+            // Mix the linear range with values spread over many octaves.
+            let values: Vec<u64> = samples.iter().map(|&(m, e)| m << e).collect();
+            let h = Histogram::new();
+            for &v in &values {
+                h.observe(v);
+            }
+            let s = h.snapshot();
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            for q in [q, 0.5, 0.9, 0.99, 1.0] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let truth = sorted[rank - 1];
+                let got = s.quantile(q);
+                prop_assert!(got >= truth, "q {} reported {} below nearest-rank {}", q, got, truth);
+                prop_assert!(got <= s.max);
+                prop_assert!(got - truth <= truth / 4, "q {} reported {} for {}", q, got, truth);
+            }
         }
     }
 

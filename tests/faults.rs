@@ -4,15 +4,17 @@
 //! the offset-overflow typed-error regression.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
-use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism};
+use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism, ResiliencePolicy};
 use abm_spconv_repro::fault::{AbmError, FaultClass, FaultOutcome, NullInjector};
-use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
+use abm_spconv_repro::model::{
+    synthesize_model, zoo, FcSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile,
+};
 use abm_spconv_repro::sim::run::simulate_workload_with;
 use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::{
     simulate_workload_guarded, AcceleratorConfig, MemorySystem, SchedulingPolicy, Watchdog,
 };
-use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
+use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_spconv_repro::telemetry::{NullCollector, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use proptest::prelude::*;
@@ -123,6 +125,55 @@ fn corrupted_batch_item_is_salvaged_per_item() {
         inferencer.run_batch(&inputs),
         Err(AbmError::ShapeMismatch { .. })
     ));
+}
+
+/// AlexNet-scale detector check, kept at layer level: FC6 (the largest
+/// code stream, 9216 -> 4096) alone, with one WT-Buffer offset bit
+/// flipped after load. Detection alone must surface the stored-checksum
+/// mismatch; the hardened ladder must re-lower and reproduce the clean
+/// result bit for bit.
+#[test]
+fn alexnet_fc6_offset_flip_is_detected_and_recovered() {
+    let mut net = Network::new("AlexNet-FC6", Shape3::new(256, 6, 6));
+    net.push(Layer::new(
+        "FC6",
+        LayerKind::FullyConnected(FcSpec::new(256 * 6 * 6, 4096)),
+    ));
+    net.push(Layer::new("SOFTMAX", LayerKind::Softmax));
+    let model = synthesize_model(&net, &PruneProfile::alexnet_deep_compression(), 2019);
+    let input = synth_image(net.input_shape(), 5);
+    let hardened = Inferencer::new(&model).resilience(ResiliencePolicy::hardened());
+    let mut prepared = hardened.prepare().unwrap();
+    let golden = hardened.run_prepared(&prepared, &input).unwrap();
+
+    let prep = prepared.abm_layer_mut(0).unwrap();
+    let flat = prep.flat().clone();
+    let mut kernels = flat.kernels().to_vec();
+    let k = &kernels[2048];
+    let mut offsets = k.offsets().to_vec();
+    let mid = offsets.len() / 2;
+    offsets[mid] ^= 1 << 9;
+    kernels[2048] = FlatKernel::from_raw_parts(
+        k.values().to_vec(),
+        k.group_bounds().to_vec(),
+        offsets,
+        k.taps().to_vec(),
+    );
+    *prep = prep
+        .clone()
+        .with_flat(FlatCode::from_kernels(flat.shape(), flat.layout(), kernels));
+
+    let err = Inferencer::new(&model)
+        .resilience(ResiliencePolicy::detect_only())
+        .run_prepared(&prepared, &input)
+        .unwrap_err();
+    assert!(
+        matches!(err.root_cause(), AbmError::ChecksumMismatch { .. }),
+        "{err}"
+    );
+    let recovered = hardened.run_prepared(&prepared, &input).unwrap();
+    assert_eq!(recovered.logits, golden.logits);
+    assert_eq!(recovered.probabilities, golden.probabilities);
 }
 
 /// Regression: an input plane too large for 32-bit flat offsets is a
