@@ -24,7 +24,7 @@
 //!   `accumulations = nnz × out_pixels`,
 //!   `multiplications = final_accumulations = Σ Q(m) × out_pixels` —
 //!   computed once per layer instead of incremented per iteration.
-//! * [`reference`] — the naive interpretive loop with per-iteration
+//! * [`mod@reference`] — the naive interpretive loop with per-iteration
 //!   counters, kept as the oracle for equivalence tests.
 //!
 //! [`conv2d`] / [`conv2d_counted`] prepare on the fly; batch consumers

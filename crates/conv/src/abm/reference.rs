@@ -3,7 +3,7 @@
 //!
 //! This engine decodes each kernel's `(n, k, k')` coordinates on the fly,
 //! reads every input pixel through the bounds-checked
-//! [`padded_read`](crate::dense::padded_read) and increments the work
+//! `dense::padded_read` and increments the work
 //! counters **per executed iteration** — slow, but with no derived state
 //! to get wrong. Equivalence tests pin the prepared engine to this one
 //! bit for bit, including the operation counts.

@@ -17,7 +17,7 @@ use crate::abm::{self, AbmWork, PreparedConv};
 use crate::dense::{self, Geometry};
 use crate::freq;
 use crate::host;
-use crate::parallel::{parallel_map_caught, Parallelism};
+use crate::parallel::{parallel_map, Parallelism};
 use crate::sparse as csr_engine;
 use abm_fault::AbmError;
 use abm_kernel::Isa;
@@ -178,8 +178,8 @@ impl<'m> Inferencer<'m> {
         self
     }
 
-    /// Sets how [`run_batch`](Self::run_batch) fans images out across
-    /// host threads. Results are bit-identical for every setting; this
+    /// Sets how the batch entry points fan images out across host
+    /// threads. Results are bit-identical for every setting; this
     /// only changes wall-clock time.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -243,11 +243,9 @@ impl<'m> Inferencer<'m> {
     /// lowered (e.g. a flat offset overflowing the 32-bit encoding),
     /// tagged with the failing layer.
     pub fn prepare(&self) -> Result<PreparedWeights, AbmError> {
-        let mut abm = Vec::new();
-        let mut csr = Vec::new();
-        let mut codes = Vec::new();
+        let mut layers = Vec::with_capacity(self.model.layers.len());
         for (idx, sl) in self.model.layers.iter().enumerate() {
-            match self.engine {
+            layers.push(match self.engine {
                 Engine::Abm => {
                     let code = LayerCode::encode(&sl.weights)
                         .map_err(|e| AbmError::from(e).at_layer(idx))?;
@@ -286,150 +284,74 @@ impl<'m> Inferencer<'m> {
                             sel.lanes() as u32,
                         );
                     }
-                    abm.push(Some(prep));
-                    csr.push(None);
                     // Retain the source code so a corrupted layer can be
                     // re-lowered without re-encoding the whole model.
-                    codes.push(Some(code));
+                    LayerPlan::Abm {
+                        conv: Box::new(prep),
+                        code,
+                    }
                 }
-                Engine::Sparse => {
-                    abm.push(None);
-                    csr.push(Some(CsrKernel::encode_layer(&sl.weights)));
-                    codes.push(None);
-                }
-                _ => {
-                    abm.push(None);
-                    csr.push(None);
-                    codes.push(None);
-                }
-            }
+                Engine::Sparse => LayerPlan::Csr(CsrKernel::encode_layer(&sl.weights)),
+                _ => LayerPlan::Raw,
+            });
         }
-        Ok(PreparedWeights { abm, csr, codes })
+        Ok(PreparedWeights { layers })
     }
 
-    /// Runs inference on a batch of images, encoding weights only once
-    /// and fanning images out across the configured
-    /// [`Parallelism`] (see [`parallelism`](Self::parallelism)).
+    /// Runs a batch against weights prepared earlier with
+    /// [`prepare`](Self::prepare), salvaging what it can — the serving
+    /// layer's batch executor. Images fan out across the configured
+    /// [`Parallelism`] and every item gets its own outcome, in input
+    /// order:
     ///
-    /// The batch is deterministic: results are returned in input order
-    /// and are bit-identical to running each image serially — parallel
-    /// workers only share the read-only [`PreparedWeights`], never
-    /// intermediate state.
+    /// * `Ok` — bit-identical to running the image alone, whatever the
+    ///   worker count or interleaving (workers share only the read-only
+    ///   [`PreparedWeights`], never intermediate state);
+    /// * the item's own error — a shape mismatch, a detected corruption
+    ///   under the [`ResiliencePolicy`], or [`AbmError::NotPrepared`]
+    ///   if `prepared` came from a differently-configured inferencer;
+    /// * [`AbmError::WorkerPanic`] — a panic while processing the item,
+    ///   caught at the pool boundary;
+    /// * [`AbmError::DeadlineExceeded`] — `deadline` passed before any
+    ///   worker claimed the item. Claimed items always finish.
     ///
-    /// # Errors
-    ///
-    /// Returns [`AbmError`] if preparation fails, any input's shape
-    /// differs from the network's input shape, or any item fails; a
-    /// worker panic is caught at the pool boundary and surfaces as
-    /// [`AbmError::WorkerPanic`] naming the item. For per-item error
-    /// reporting instead of first-error-aborts, use
-    /// [`run_batch_salvage`](Self::run_batch_salvage).
-    pub fn run_batch(&self, inputs: &[Tensor3<i16>]) -> Result<Vec<InferenceResult>, AbmError> {
-        let prepared = self.prepare()?;
-        self.run_batch_prepared(&prepared, inputs)
-    }
-
-    /// Runs a batch, salvaging what it can: every item gets its own
-    /// `Result`, so one corrupted image (or even a worker panic while
-    /// processing it) never takes down the rest of the batch. Results
-    /// stay in input order.
-    ///
-    /// # Errors
-    ///
-    /// The outer `Result` fails only when weight preparation fails —
-    /// nothing has run at that point. Per-item failures (shape
-    /// mismatches, detected corruptions under a
-    /// [`ResiliencePolicy`], caught worker panics) land in the inner
-    /// `Result`s.
+    /// One bad image never takes down the rest of the batch.
+    /// Telemetry spans are tagged with the pool worker that ran the
+    /// image, and each worker records its steal count.
     pub fn run_batch_salvage(
-        &self,
-        inputs: &[Tensor3<i16>],
-    ) -> Result<Vec<Result<InferenceResult, AbmError>>, AbmError> {
-        let prepared = self.prepare()?;
-        let caught = parallel_map_caught(
-            self.parallelism,
-            inputs,
-            self.telemetry.as_ref(),
-            |worker, _, input| {
-                self.check_input_shape(input)?;
-                self.run_prepared_on(&prepared, input, worker as u32)
-            },
-        );
-        Ok(caught
-            .into_iter()
-            .enumerate()
-            .map(|(item, r)| match r {
-                Ok(inner) => inner,
-                Err(message) => Err(AbmError::WorkerPanic { item, message }),
-            })
-            .collect())
-    }
-
-    /// [`run_batch_salvage`](Self::run_batch_salvage) against
-    /// pre-encoded weights, bounded by a wall-clock deadline — the
-    /// serving layer's batch executor. A deadline hit mid-batch
-    /// returns **per-item typed outcomes** instead of failing the
-    /// whole batch: items claimed before the deadline run to
-    /// completion and come back `Ok` (bit-identical to an unbounded
-    /// run), items the deadline cut come back as
-    /// [`AbmError::DeadlineExceeded`], and a panicked item poisons
-    /// only itself ([`AbmError::WorkerPanic`]). Results stay in input
-    /// order, and `tests/serve.rs` pins the regression.
-    pub fn run_batch_salvage_deadline(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
-        deadline: std::time::Instant,
+        deadline: Option<std::time::Instant>,
     ) -> Vec<Result<InferenceResult, AbmError>> {
-        crate::parallel::parallel_map_deadline_salvage(
+        parallel_map(
             self.parallelism,
             inputs,
+            self.telemetry.as_ref(),
             deadline,
-            |_, input| {
-                self.check_input_shape(input)?;
-                self.run_prepared_on(prepared, input, 0)
-            },
+            |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
         )
         .into_iter()
-        .map(|r| r.and_then(|inner| inner))
+        .map(|outcome| outcome.and_then(|result| result))
         .collect()
     }
 
-    /// [`run_batch`](Self::run_batch) against weights prepared earlier
-    /// with [`prepare`](Self::prepare) — the "prepare once, infer many"
-    /// serving path.
+    /// [`run_batch_salvage`](Self::run_batch_salvage) with no deadline,
+    /// failing on the first error in input order — the "prepare once,
+    /// infer many" batch path.
     ///
     /// # Errors
     ///
-    /// Returns [`AbmError::ShapeMismatch`] if any input's shape differs
-    /// from the network's input shape,
-    /// [`AbmError::NotPrepared`] if `prepared` came from a
-    /// differently-configured inferencer, and
-    /// [`AbmError::WorkerPanic`] if a worker panicked mid-item (caught
-    /// at the pool boundary, never crossing the join).
+    /// The first failed item's error, in input order (see
+    /// [`run_batch_salvage`](Self::run_batch_salvage) for the kinds).
     pub fn run_batch_prepared(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
     ) -> Result<Vec<InferenceResult>, AbmError> {
-        // Validate shapes up front so the error points at the bad input
-        // before any worker spins up.
-        for input in inputs {
-            self.check_input_shape(input)?;
-        }
-        parallel_map_caught(
-            self.parallelism,
-            inputs,
-            self.telemetry.as_ref(),
-            |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(item, r)| match r {
-            Ok(inner) => inner,
-            Err(message) => Err(AbmError::WorkerPanic { item, message }),
-        })
-        .collect()
+        self.run_batch_salvage(prepared, inputs, None)
+            .into_iter()
+            .collect()
     }
 
     /// Runs a batch through a **layer-pipelined** executor — the
@@ -453,24 +375,17 @@ impl<'m> Inferencer<'m> {
     /// `n_stages` is clamped to `1..=` the number of accelerated
     /// layers, so any requested depth is safe.
     ///
-    /// # Errors
-    ///
-    /// Returns [`AbmError::ShapeMismatch`] if any input's shape differs
-    /// from the network's input shape (checked up front, before any
-    /// stage spins up), and [`AbmError::NotPrepared`] if `prepared`
-    /// came from a differently-configured inferencer. A failing image's
-    /// error passes through the remaining stages untouched and the
-    /// first error in **input order** is returned, matching
-    /// [`run_batch_prepared`](Self::run_batch_prepared).
+    /// Every item gets its own outcome, in input order, like
+    /// [`run_batch_salvage`](Self::run_batch_salvage) without a
+    /// deadline: an image with the wrong shape fails as it enters the
+    /// pipeline, and a failing image's error passes through the
+    /// remaining stages untouched while the rest of the batch runs.
     pub fn run_batch_pipelined(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
         n_stages: usize,
-    ) -> Result<Vec<InferenceResult>, AbmError> {
-        for input in inputs {
-            self.check_input_shape(input)?;
-        }
+    ) -> Vec<Result<InferenceResult, AbmError>> {
         let layers = self.model.network.layers();
         let spans = stage_spans(layers, n_stages);
         let mut slots: Vec<Option<Result<InferenceResult, AbmError>>> = Vec::new();
@@ -484,7 +399,10 @@ impl<'m> Inferencer<'m> {
                 crossbeam::channel::bounded::<(usize, Result<ImageState, AbmError>)>(2);
             scope.spawn(move || {
                 for (idx, input) in inputs.iter().enumerate() {
-                    if first_tx.send((idx, Ok(self.begin_image(input)))).is_err() {
+                    let state = self
+                        .check_input_shape(input)
+                        .map(|()| self.begin_image(input));
+                    if first_tx.send((idx, state)).is_err() {
                         break;
                     }
                 }
@@ -692,21 +610,22 @@ impl<'m> Inferencer<'m> {
             Engine::Dense => dense::conv2d(input, &sl.weights, geom),
             Engine::Gemm => crate::gemm::conv2d(input, &sl.weights, geom),
             Engine::Sparse => {
-                let kernels = prepared.csr.get(layer_idx).and_then(Option::as_ref).ok_or(
-                    AbmError::NotPrepared {
+                let Some(LayerPlan::Csr(kernels)) = prepared.layers.get(layer_idx) else {
+                    return Err(AbmError::NotPrepared {
                         layer: layer_idx,
                         engine: "Sparse",
-                    },
-                )?;
+                    });
+                };
                 csr_engine::conv2d(input, kernels, sl.weights.shape(), geom)
             }
             Engine::Abm => {
-                let prep = prepared.abm.get(layer_idx).and_then(Option::as_ref).ok_or(
-                    AbmError::NotPrepared {
+                let Some(LayerPlan::Abm { conv: prep, code }) = prepared.layers.get(layer_idx)
+                else {
+                    return Err(AbmError::NotPrepared {
                         layer: layer_idx,
                         engine: "ABM",
-                    },
-                )?;
+                    });
+                };
                 if input.shape() != prep.input_shape() {
                     return Err(AbmError::ShapeMismatch {
                         got: (
@@ -722,7 +641,6 @@ impl<'m> Inferencer<'m> {
                     });
                 }
                 let (out, w) = if self.resilience.verify {
-                    let code = prepared.codes.get(layer_idx).and_then(Option::as_ref);
                     self.execute_abm_checked(prep, code, sl, input, layer_idx, geom)?
                 } else {
                     prep.execute_counted(input)
@@ -762,7 +680,7 @@ impl<'m> Inferencer<'m> {
     fn execute_abm_checked(
         &self,
         prep: &PreparedConv,
-        code: Option<&LayerCode>,
+        code: &LayerCode,
         sl: &SparseLayer,
         input: &Tensor3<i16>,
         layer_idx: usize,
@@ -785,35 +703,31 @@ impl<'m> Inferencer<'m> {
             detector_name(&last),
             &last.to_string(),
         );
-        if let Some(code) = code {
-            for attempts in 1..=self.resilience.max_retries {
-                match PreparedConv::try_new_with_isa(code, prep.input_shape(), geom, self.isa)
-                    .and_then(|fresh| attempt(&fresh))
-                {
-                    Ok(r) => {
-                        self.record_fault(
-                            layer_idx,
-                            FaultAction::Recovered,
-                            "re-lower",
-                            &format!("clean after {attempts} re-lowering(s)"),
-                        );
-                        return Ok(r);
-                    }
-                    Err(e) => last = e,
-                }
-            }
-        }
-        if self.resilience.fallback {
-            if let Some(code) = code {
-                if let Ok((out, w)) = abm::reference::conv2d_counted(input, code, geom) {
+        for attempts in 1..=self.resilience.max_retries {
+            match PreparedConv::try_new_with_isa(code, prep.input_shape(), geom, self.isa)
+                .and_then(|fresh| attempt(&fresh))
+            {
+                Ok(r) => {
                     self.record_fault(
                         layer_idx,
                         FaultAction::Recovered,
-                        "reference-fallback",
-                        "degraded to the abm::reference oracle",
+                        "re-lower",
+                        &format!("clean after {attempts} re-lowering(s)"),
                     );
-                    return Ok((out, w));
+                    return Ok(r);
                 }
+                Err(e) => last = e,
+            }
+        }
+        if self.resilience.fallback {
+            if let Ok((out, w)) = abm::reference::conv2d_counted(input, code, geom) {
+                self.record_fault(
+                    layer_idx,
+                    FaultAction::Recovered,
+                    "reference-fallback",
+                    "degraded to the abm::reference oracle",
+                );
+                return Ok((out, w));
             }
             // Last resort: the dense engine needs nothing but the raw
             // weights, which the model always has. Work counters stay
@@ -999,14 +913,26 @@ pub struct LayerNumerics {
 /// analytic work accounting, lowered once and shared read-only across
 /// batch items and host workers.
 ///
-/// Alongside the prepared forms, the source [`LayerCode`]s are retained
+/// Alongside each prepared form, the source [`LayerCode`] is retained
 /// so a corrupted layer can be re-lowered in place by the recovery path
 /// (see [`ResiliencePolicy`]).
 #[derive(Debug, Clone, Default)]
 pub struct PreparedWeights {
-    abm: Vec<Option<PreparedConv>>,
-    csr: Vec<Option<Vec<CsrKernel>>>,
-    codes: Vec<Option<LayerCode>>,
+    layers: Vec<LayerPlan>,
+}
+
+/// How one accelerated layer's weights are held for its engine.
+#[derive(Debug, Clone)]
+enum LayerPlan {
+    /// The lowered hot-path form and the code it was lowered from.
+    Abm {
+        conv: Box<PreparedConv>,
+        code: LayerCode,
+    },
+    /// CSR kernels for the sparse baseline.
+    Csr(Vec<CsrKernel>),
+    /// Engines that read the model's raw weights directly.
+    Raw,
 }
 
 impl PreparedWeights {
@@ -1014,7 +940,10 @@ impl PreparedWeights {
     /// out-of-range index).
     #[must_use]
     pub fn abm_layer(&self, layer: usize) -> Option<&PreparedConv> {
-        self.abm.get(layer).and_then(Option::as_ref)
+        match self.layers.get(layer)? {
+            LayerPlan::Abm { conv, .. } => Some(conv),
+            _ => None,
+        }
     }
 
     /// Mutable access to a layer's prepared ABM form — the escape hatch
@@ -1022,14 +951,20 @@ impl PreparedWeights {
     /// [`PreparedConv::with_flat`]). Never needed on correct paths.
     #[must_use]
     pub fn abm_layer_mut(&mut self, layer: usize) -> Option<&mut PreparedConv> {
-        self.abm.get_mut(layer).and_then(Option::as_mut)
+        match self.layers.get_mut(layer)? {
+            LayerPlan::Abm { conv, .. } => Some(conv),
+            _ => None,
+        }
     }
 
     /// The retained source code for a layer (`None` unless prepared
     /// with the ABM engine).
     #[must_use]
     pub fn layer_code(&self, layer: usize) -> Option<&LayerCode> {
-        self.codes.get(layer).and_then(Option::as_ref)
+        match self.layers.get(layer)? {
+            LayerPlan::Abm { code, .. } => Some(code),
+            _ => None,
+        }
     }
 }
 
@@ -1200,8 +1135,11 @@ mod tests {
         );
         // The batch paths reject it the same way, without panicking.
         let inf = Inferencer::new(&model);
-        assert!(inf.run_batch(std::slice::from_ref(&bad)).is_err());
-        let salvaged = inf.run_batch_salvage(&[tiny_input(), bad]).unwrap();
+        let prepared = inf.prepare().unwrap();
+        assert!(inf
+            .run_batch_prepared(&prepared, std::slice::from_ref(&bad))
+            .is_err());
+        let salvaged = inf.run_batch_salvage(&prepared, &[tiny_input(), bad], None);
         assert!(salvaged[0].is_ok());
         assert!(matches!(salvaged[1], Err(AbmError::ShapeMismatch { .. })));
     }
@@ -1306,7 +1244,9 @@ mod tests {
             })
             .collect();
         let inf = Inferencer::new(&model).engine(Engine::Abm);
-        let batch = inf.run_batch(&inputs).unwrap();
+        let batch = inf
+            .run_batch_prepared(&inf.prepare().unwrap(), &inputs)
+            .unwrap();
         assert_eq!(batch.len(), 3);
         for (input, result) in inputs.iter().zip(&batch) {
             assert_eq!(result, &inf.run(input).unwrap());

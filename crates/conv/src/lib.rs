@@ -14,7 +14,7 @@
 //!
 //! The four integer engines are *bit-exact* against each other — the
 //! property that validates the paper's Equation (2) — and the FFT engine
-//! matches within floating-point tolerance. [`calibrate`] provides the
+//! matches within floating-point tolerance. [`mod@calibrate`] provides the
 //! offline activation-range calibration that real deployments use, and
 //! [`precision`] stress-tests the 16-bit accumulator claim.
 //!
@@ -72,7 +72,4 @@ pub use calibrate::{calibrate, Calibration};
 pub use dense::{conv2d as dense_conv2d, Geometry};
 pub use infer::{Engine, InferenceResult, Inferencer, PreparedWeights, ResiliencePolicy};
 pub use ops::{LayerOps, NetworkOps};
-pub use parallel::{
-    parallel_map, parallel_map_caught, parallel_map_deadline, parallel_map_deadline_salvage,
-    parallel_map_traced, Parallelism,
-};
+pub use parallel::{parallel_map, Parallelism};

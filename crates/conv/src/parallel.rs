@@ -10,6 +10,11 @@
 //! regardless of thread count or interleaving. That determinism
 //! invariant is enforced by `tests/concurrency.rs`.
 //!
+//! [`parallel_map`] is the only pool: batch inference, the served
+//! deadline path and the simulator's fan-outs all run on it, under one
+//! per-item contract (typed panics and deadline cuts, never a lost
+//! item).
+//!
 //! [`Parallelism`] is the knob threaded through
 //! [`Inferencer`](crate::Inferencer), the simulator's network runner,
 //! the CLI and the examples.
@@ -74,54 +79,41 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Applies `f` to every item, fanning out across a work-stealing pool,
-/// and returns the results **in item order**.
+/// Applies `f` to every item across a work-stealing pool and returns
+/// one outcome per item, **in item order**.
 ///
-/// Each worker repeatedly steals the next unclaimed index from a shared
-/// injector queue, computes `f(index, &items[index])`, and sends the
-/// result home tagged with its index; the pool therefore load-balances
-/// uneven items exactly like the paper's semi-synchronous CU scheduler
-/// balances uneven kernel batches. Falls back to a plain serial map
-/// when the pool would not help (one worker or fewer than two items).
+/// Each worker repeatedly claims the next unclaimed index from a shared
+/// injector queue and computes `f(worker, index, &items[index])`; the
+/// pool therefore load-balances uneven items exactly like the paper's
+/// semi-synchronous CU scheduler balances uneven kernel batches. With
+/// one worker (or fewer than two items) the calling thread runs the
+/// same loop, claiming items in order. The contract:
 ///
-/// # Panics
+/// * `Ok(r)` — the item ran to completion. Results never depend on the
+///   worker count or the interleaving.
+/// * [`AbmError::WorkerPanic`] — `f` panicked on the item. The panic is
+///   caught on the worker and poisons only that item.
+/// * [`AbmError::DeadlineExceeded`] — `deadline` passed before any
+///   worker claimed the item. Cancellation is cooperative, at claim
+///   granularity: claimed items always finish, so the pool always joins
+///   cleanly.
 ///
-/// Propagates panics from `f` (the pool's scope joins all workers
-/// first).
-pub fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_traced(parallelism, items, None, |_, i, item| f(i, item))
-}
-
-/// [`parallel_map`] with telemetry: the closure additionally receives
-/// the id of the worker executing it, and — when a sink is attached —
-/// each worker records one [`Event::WorkerSteals`] (tasks it stole,
-/// wall-clock time it spent in `f`) before retiring. With `sink: None`
-/// this is exactly [`parallel_map`]: results in item order, independent
-/// of interleaving.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the pool's scope joins all workers
-/// first).
-pub fn parallel_map_traced<T, R, F>(
+/// Pool metrics are recorded on every call and, when a sink is
+/// attached, each worker records one [`Event::WorkerSteals`] (items it
+/// claimed, wall-clock time it spent in `f`) before retiring. Metrics
+/// and events observe the pool, they never steer it.
+pub fn parallel_map<T, R, F>(
     parallelism: Parallelism,
     items: &[T],
     sink: Option<&TelemetrySink>,
+    deadline: Option<Instant>,
     f: F,
-) -> Vec<R>
+) -> Vec<Result<R, AbmError>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, usize, &T) -> R + Sync,
 {
-    // Pool accounting: fan-out shape and queue depth are recorded up
-    // front, steal/retry totals per worker as each retires. Metrics
-    // observe the pool, they never steer it.
     let metrics_on = abm_metrics::enabled();
     if metrics_on {
         let m = abm_metrics::global();
@@ -130,295 +122,124 @@ where
         m.gauge_max("pool_queue_depth_high_water", items.len() as u64);
     }
     let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        let start = Instant::now();
-        let out: Vec<R> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(0, i, item))
-            .collect();
-        if let Some(sink) = sink {
-            if !items.is_empty() {
-                sink.record(Event::WorkerSteals {
-                    worker: 0,
-                    tasks: items.len() as u64,
-                    busy_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                });
-            }
-        }
+    let shares = if workers <= 1 {
+        let mut next = 0..items.len();
+        let share = work(0, || next.next(), items, sink, deadline, &f);
         if metrics_on {
-            abm_metrics::global().add("pool_serial_items_total", items.len() as u64);
+            abm_metrics::global().add("pool_serial_items_total", share.len() as u64);
         }
-        return out;
-    }
-    if metrics_on {
-        abm_metrics::global().add("pool_workers_total", workers as u64);
-    }
-
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let f = &f;
-            scope.spawn(move || {
-                let mut tasks = 0u64;
-                let mut busy_ns = 0u64;
-                let mut retries = 0u64;
-                loop {
-                    match injector.steal() {
-                        Steal::Success(i) => {
-                            let start = sink.map(|_| Instant::now());
-                            let result = f(worker, i, &items[i]);
-                            tasks += 1;
-                            if let Some(start) = start {
-                                busy_ns +=
-                                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        vec![share]
+    } else {
+        if metrics_on {
+            abm_metrics::global().add("pool_workers_total", workers as u64);
+        }
+        let injector: Injector<usize> = Injector::new();
+        for i in 0..items.len() {
+            injector.push(i);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (injector, f) = (&injector, &f);
+                    scope.spawn(move || {
+                        let mut retries = 0u64;
+                        let claim = || loop {
+                            match injector.steal() {
+                                Steal::Success(i) => return Some(i),
+                                Steal::Empty => return None,
+                                Steal::Retry => retries += 1,
                             }
-                            // A send only fails if the receiver is gone,
-                            // which means the main thread already panicked.
-                            if tx.send((i, result)).is_err() {
-                                break;
-                            }
+                        };
+                        let share = work(worker, claim, items, sink, deadline, f);
+                        if metrics_on {
+                            let m = abm_metrics::global();
+                            m.add("pool_steals_total", share.len() as u64);
+                            m.add("pool_steal_retries_total", retries);
                         }
-                        Steal::Empty => break,
-                        Steal::Retry => retries += 1,
-                    }
-                }
-                if let Some(sink) = sink {
-                    if tasks > 0 {
-                        sink.record(Event::WorkerSteals {
-                            worker: worker as u32,
-                            tasks,
-                            busy_ns,
-                        });
-                    }
-                }
-                if metrics_on {
-                    let m = abm_metrics::global();
-                    m.add("pool_steals_total", tasks);
-                    m.add("pool_steal_retries_total", retries);
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            // INVARIANT: the injector enqueued each index exactly once
-            // and every worker sends exactly one result per claimed
-            // index (the deque model checker proves no lost tasks).
-            .map(|r| r.expect("every index was queued exactly once"))
-            .collect()
-    })
-}
-
-/// [`parallel_map_traced`] with a panic boundary at each item: a panic
-/// inside `f` is caught on the worker (never crosses the scope join)
-/// and comes back as `Err(message)` for that item alone — the rest of
-/// the batch completes normally. This is the salvage path
-/// [`Inferencer::run_batch_salvage`](crate::Inferencer::run_batch_salvage)
-/// builds on: one corrupted image must not abort the batch.
-pub fn parallel_map_caught<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    sink: Option<&TelemetrySink>,
-    f: F,
-) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
-{
-    parallel_map_traced(parallelism, items, sink, |worker, i, item| {
-        catch_unwind(AssertUnwindSafe(|| f(worker, i, item))).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "worker panicked with a non-string payload".to_string())
-        })
-    })
-}
-
-/// [`parallel_map`] with a wall-clock deadline: workers stop claiming
-/// new items once `deadline` passes. Returns `Ok(results)` when every
-/// item completed in time, or `Err(completed)` — the number of items
-/// that finished — when the deadline cut the batch short. Items already
-/// claimed when the deadline passes run to completion (cancellation is
-/// cooperative, at steal granularity), so the pool always joins cleanly.
-///
-/// # Errors
-///
-/// Returns `Err(completed_count)` if the deadline expired before every
-/// item was processed.
-pub fn parallel_map_deadline<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    deadline: Instant,
-    f: F,
-) -> Result<Vec<R>, usize>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            if Instant::now() >= deadline {
-                return Err(out.len());
-            }
-            out.push(f(i, item));
-        }
-        return Ok(out);
-    }
-
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let f = &f;
-            scope.spawn(move || loop {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                match injector.steal() {
-                    Steal::Success(i) => {
-                        if tx.send((i, f(i, &items[i]))).is_err() {
-                            break;
-                        }
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {}
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let mut completed = 0usize;
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-            completed += 1;
-        }
-        if completed == items.len() {
-            Ok(slots.into_iter().flatten().collect())
-        } else {
-            Err(completed)
-        }
-    })
-}
-
-/// The typed [`AbmError::DeadlineExceeded`] for an item the deadline
-/// cut before any worker claimed it.
-fn deadline_cut(item: usize, deadline: Instant) -> AbmError {
-    AbmError::DeadlineExceeded {
-        item,
-        late_us: u64::try_from(
-            Instant::now()
-                .saturating_duration_since(deadline)
-                .as_micros(),
-        )
-        .unwrap_or(u64::MAX),
-    }
-}
-
-/// [`parallel_map_deadline`] with **per-item typed outcomes** — the
-/// serving primitive. A deadline hit mid-batch no longer discards the
-/// work that did finish: every item comes back as its own `Result`, in
-/// item order:
-///
-/// * `Ok(r)` — the item was claimed before the deadline and completed;
-/// * [`AbmError::DeadlineExceeded`] — the deadline passed before any
-///   worker claimed the item (cancellation stays cooperative, at steal
-///   granularity, so claimed items always run to completion and the
-///   pool always joins cleanly);
-/// * [`AbmError::WorkerPanic`] — `f` panicked on the item; the panic is
-///   caught at the pool boundary and poisons only that item.
-pub fn parallel_map_deadline_salvage<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    deadline: Instant,
-    f: F,
-) -> Vec<Result<R, AbmError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let caught = |i: usize, item: &T| -> Result<R, AbmError> {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| AbmError::WorkerPanic {
-            item: i,
-            message: payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "worker panicked with a non-string payload".to_string()),
+                        share
+                    })
+                })
+                .collect();
+            // `f`'s panics are caught inside `work`, so a join only
+            // fails if the pool's own bookkeeping died; that worker's
+            // items come back typed below instead of crossing the join.
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().ok())
+                .collect::<Vec<_>>()
         })
     };
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                if Instant::now() >= deadline {
-                    Err(deadline_cut(i, deadline))
-                } else {
-                    caught(i, item)
-                }
+    let mut slots: Vec<Option<Result<R, AbmError>>> = (0..items.len()).map(|_| None).collect();
+    for (i, outcome) in shares.into_iter().flatten() {
+        slots[i] = Some(outcome);
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(item, slot)| {
+            slot.unwrap_or_else(|| {
+                Err(
+                    deadline_cut(item, deadline).unwrap_or_else(|| AbmError::WorkerPanic {
+                        item,
+                        message: "worker exited before reporting the item".into(),
+                    }),
+                )
             })
-            .collect();
-    }
+        })
+        .collect()
+}
 
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Result<R, AbmError>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let caught = &caught;
-            scope.spawn(move || loop {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                match injector.steal() {
-                    Steal::Success(i) => {
-                        if tx.send((i, caught(i, &items[i]))).is_err() {
-                            break;
-                        }
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {}
+/// One worker's loop: claim the next item until none is left or the
+/// deadline passes, run it behind a panic boundary, and hand back the
+/// outcomes tagged with their item index.
+fn work<T, R>(
+    worker: usize,
+    mut claim: impl FnMut() -> Option<usize>,
+    items: &[T],
+    sink: Option<&TelemetrySink>,
+    deadline: Option<Instant>,
+    f: &impl Fn(usize, usize, &T) -> R,
+) -> Vec<(usize, Result<R, AbmError>)> {
+    let mut done = Vec::new();
+    let mut busy_ns = 0u64;
+    while deadline.is_none_or(|d| Instant::now() < d) {
+        let Some(i) = claim() else { break };
+        let start = sink.map(|_| Instant::now());
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i]))).map_err(|payload| {
+                AbmError::WorkerPanic {
+                    item: i,
+                    message: payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                        .unwrap_or_else(|| "worker panicked with a non-string payload".to_string()),
                 }
             });
+        if let Some(start) = start {
+            busy_ns = busy_ns
+                .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        drop(tx);
-        let mut slots: Vec<Option<Result<R, AbmError>>> = (0..items.len()).map(|_| None).collect();
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| Err(deadline_cut(i, deadline))))
-            .collect()
+        done.push((i, outcome));
+    }
+    if let Some(sink) = sink.filter(|_| !done.is_empty()) {
+        sink.record(Event::WorkerSteals {
+            worker: worker as u32,
+            tasks: done.len() as u64,
+            busy_ns,
+        });
+    }
+    done
+}
+
+/// The typed [`AbmError::DeadlineExceeded`] for an item no worker
+/// claimed before `deadline` passed; `None` while there is still time,
+/// and always without a deadline.
+fn deadline_cut(item: usize, deadline: Option<Instant>) -> Option<AbmError> {
+    let late = Instant::now().checked_duration_since(deadline?)?;
+    Some(AbmError::DeadlineExceeded {
+        item,
+        late_us: u64::try_from(late.as_micros()).unwrap_or(u64::MAX),
     })
 }
 
@@ -426,18 +247,40 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// The pool with no sink and no deadline, every outcome unwrapped.
+    fn map<T: Sync, R: Send>(
+        par: Parallelism,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        parallel_map(par, items, None, None, |_, i, item| f(i, item))
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
+    fn steal_counts(sink: &TelemetrySink) -> Vec<(u32, u64)> {
+        sink.events()
+            .iter()
+            .map(|e| match e {
+                Event::WorkerSteals { worker, tasks, .. } => (*worker, *tasks),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
 
     #[test]
     fn results_keep_item_order() {
         let items: Vec<u64> = (0..257).collect();
-        let serial = parallel_map(Parallelism::Serial, &items, |i, &x| x * 3 + i as u64);
+        let serial = map(Parallelism::Serial, &items, |i, &x| x * 3 + i as u64);
         for par in [
             Parallelism::Threads(2),
             Parallelism::Threads(7),
             Parallelism::Auto,
         ] {
-            let parallel = parallel_map(par, &items, |i, &x| x * 3 + i as u64);
-            assert_eq!(parallel, serial, "{par}");
+            assert_eq!(map(par, &items, |i, &x| x * 3 + i as u64), serial, "{par}");
         }
     }
 
@@ -445,7 +288,7 @@ mod tests {
     fn every_item_visited_exactly_once() {
         let items: Vec<usize> = (0..500).collect();
         let visits = AtomicUsize::new(0);
-        let out = parallel_map(Parallelism::Threads(8), &items, |_, &x| {
+        let out = map(Parallelism::Threads(8), &items, |_, &x| {
             visits.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -461,124 +304,116 @@ mod tests {
             .collect();
         let spin = |_: usize, &n: &u64| (0..n).fold(0u64, |a, b| a.wrapping_add(b));
         assert_eq!(
-            parallel_map(Parallelism::Threads(4), &items, spin),
-            parallel_map(Parallelism::Serial, &items, spin),
+            map(Parallelism::Threads(4), &items, spin),
+            map(Parallelism::Serial, &items, spin),
         );
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map(Parallelism::Auto, &empty, |_, &x| x).is_empty());
-        assert_eq!(
-            parallel_map(Parallelism::Auto, &[9u8], |_, &x| x + 1),
-            vec![10]
-        );
+        let sink = TelemetrySink::new();
+        let deadline = Some(Instant::now() + Duration::from_secs(60));
+        assert!(parallel_map(
+            Parallelism::Auto,
+            &empty,
+            Some(&sink),
+            deadline,
+            |_, _, &x| x
+        )
+        .is_empty());
+        assert!(sink.events().is_empty(), "an empty map records no worker");
+        assert_eq!(map(Parallelism::Auto, &[9u8], |_, &x| x + 1), vec![10]);
     }
 
     #[test]
-    fn traced_map_records_steal_counts() {
+    fn pool_records_steal_counts() {
         let items: Vec<u64> = (0..64).collect();
         let sink = TelemetrySink::new();
-        let serial = parallel_map(Parallelism::Serial, &items, |i, &x| x + i as u64);
-        let traced =
-            parallel_map_traced(Parallelism::Threads(4), &items, Some(&sink), |w, i, &x| {
+        let serial = map(Parallelism::Serial, &items, |i, &x| x + i as u64);
+        let traced: Vec<u64> = parallel_map(
+            Parallelism::Threads(4),
+            &items,
+            Some(&sink),
+            None,
+            |w, i, &x| {
                 assert!(w < 4);
                 x + i as u64
-            });
+            },
+        )
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
         assert_eq!(traced, serial);
-        let events = sink.events();
-        assert!(!events.is_empty() && events.len() <= 4);
-        let total: u64 = events
-            .iter()
-            .map(|e| match e {
-                Event::WorkerSteals { tasks, .. } => *tasks,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .sum();
+        let counts = steal_counts(&sink);
+        assert!(!counts.is_empty() && counts.len() <= 4);
+        let total: u64 = counts.iter().map(|&(_, tasks)| tasks).sum();
         assert_eq!(total, 64, "every item stolen exactly once");
     }
 
     #[test]
-    fn traced_serial_map_reports_one_worker() {
+    fn serial_map_reports_one_worker() {
         let sink = TelemetrySink::new();
-        let out = parallel_map_traced(
+        let out = parallel_map(
             Parallelism::Serial,
             &[1u8, 2, 3],
             Some(&sink),
+            None,
             |w, _, &x| {
                 assert_eq!(w, 0);
                 x * 2
             },
         );
-        assert_eq!(out, vec![2, 4, 6]);
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            Event::WorkerSteals {
-                worker: 0,
-                tasks: 3,
-                ..
-            }
-        ));
+        assert_eq!(out, vec![Ok(2), Ok(4), Ok(6)]);
+        assert_eq!(steal_counts(&sink), vec![(0, 3)]);
     }
 
     #[test]
-    fn caught_map_isolates_panics() {
+    fn panics_are_isolated_per_item() {
         let items: Vec<u32> = (0..20).collect();
+        let generous = Instant::now() + Duration::from_secs(60);
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let out = parallel_map_caught(par, &items, None, |_, _, &x| {
-                assert!(x != 13, "poisoned item {x}");
-                x * 2
-            });
-            assert_eq!(out.len(), 20);
-            for (i, r) in out.iter().enumerate() {
-                if i == 13 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("poisoned item 13"), "{par}: {msg}");
-                } else {
-                    assert_eq!(*r, Ok(i as u32 * 2), "{par}");
+            for deadline in [None, Some(generous)] {
+                let out = parallel_map(par, &items, None, deadline, |_, _, &x| {
+                    assert!(x != 13, "poisoned item {x}");
+                    x * 2
+                });
+                assert_eq!(out.len(), 20);
+                for (i, r) in out.iter().enumerate() {
+                    if i == 13 {
+                        match r {
+                            Err(AbmError::WorkerPanic { item, message }) => {
+                                assert_eq!(*item, 13, "{par}");
+                                assert!(message.contains("poisoned item 13"), "{par}: {message}");
+                            }
+                            other => panic!("{par}: expected WorkerPanic, got {other:?}"),
+                        }
+                    } else {
+                        assert_eq!(*r, Ok(i as u32 * 2), "{par}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn deadline_map_completes_or_reports_progress() {
-        let items: Vec<u64> = (0..32).collect();
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let generous = Instant::now() + std::time::Duration::from_secs(60);
-            assert_eq!(
-                parallel_map_deadline(par, &items, generous, |_, &x| x + 1),
-                Ok((1..=32).collect::<Vec<u64>>()),
-                "{par}"
-            );
-            let expired = Instant::now() - std::time::Duration::from_millis(1);
-            let cut = parallel_map_deadline(par, &items, expired, |_, &x| x + 1).unwrap_err();
-            assert!(cut < items.len(), "{par}: {cut}");
-        }
-    }
-
-    #[test]
-    fn deadline_salvage_returns_per_item_outcomes() {
-        // Regression: a deadline hit mid-batch used to fail the whole
-        // batch (`parallel_map_deadline` discards completed results).
-        // The salvage variant keeps every finished item and types every
-        // cut one.
+    fn deadline_types_every_unclaimed_item() {
         let items: Vec<u64> = (0..24).collect();
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
             // Generous deadline: everything completes, in order.
-            let generous = Instant::now() + std::time::Duration::from_secs(60);
-            let out = parallel_map_deadline_salvage(par, &items, generous, |_, &x| x * 2);
-            assert_eq!(out.len(), 24);
-            for (i, r) in out.iter().enumerate() {
-                assert_eq!(r.as_ref().ok(), Some(&(i as u64 * 2)), "{par}");
-            }
+            let generous = Instant::now() + Duration::from_secs(60);
+            let out = parallel_map(par, &items, None, Some(generous), |_, _, &x| x * 2);
+            let want: Vec<Result<u64, AbmError>> = items.iter().map(|&x| Ok(x * 2)).collect();
+            assert_eq!(out, want, "{par}");
 
             // Expired deadline: nothing runs, every item is typed.
-            let expired = Instant::now() - std::time::Duration::from_millis(1);
-            let out = parallel_map_deadline_salvage(par, &items, expired, |_, &x| x * 2);
+            let runs = AtomicUsize::new(0);
+            let expired = Instant::now() - Duration::from_millis(1);
+            let out = parallel_map(par, &items, None, Some(expired), |_, _, &x| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                x
+            });
+            assert_eq!(runs.load(Ordering::Relaxed), 0, "{par}");
             assert_eq!(out.len(), 24);
             for (i, r) in out.iter().enumerate() {
                 match r {
@@ -590,23 +425,31 @@ mod tests {
     }
 
     #[test]
-    fn deadline_salvage_keeps_completed_items_on_midbatch_cut() {
+    fn midbatch_cut_keeps_completed_items() {
         // Slow items force the deadline to fire mid-batch; the fast
-        // items that were claimed first must come back Ok and correct.
+        // items that were claimed first must come back Ok and correct,
+        // and the pool still accounts for every claimed item.
         let items: Vec<u64> = (0..16).collect();
-        let deadline = Instant::now() + std::time::Duration::from_millis(30);
-        let out =
-            parallel_map_deadline_salvage(Parallelism::Threads(2), &items, deadline, |i, &x| {
+        let sink = TelemetrySink::new();
+        let deadline = Instant::now() + Duration::from_millis(30);
+        let out = parallel_map(
+            Parallelism::Threads(2),
+            &items,
+            Some(&sink),
+            Some(deadline),
+            |_, i, &x| {
                 if i >= 4 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    std::thread::sleep(Duration::from_millis(20));
                 }
                 x + 100
-            });
+            },
+        );
         assert_eq!(out.len(), 16);
         let completed = out.iter().filter(|r| r.is_ok()).count();
-        let cut = out.iter().filter(|r| r.is_err()).count();
-        assert_eq!(completed + cut, 16);
-        assert!(cut > 0, "deadline should have cut the tail of the batch");
+        assert!(
+            completed < 16,
+            "deadline should have cut the tail of the batch"
+        );
         for (i, r) in out.iter().enumerate() {
             match r {
                 Ok(v) => assert_eq!(*v, i as u64 + 100),
@@ -614,31 +457,8 @@ mod tests {
                 Err(other) => panic!("unexpected error for item {i}: {other}"),
             }
         }
-    }
-
-    #[test]
-    fn deadline_salvage_isolates_panics() {
-        let items: Vec<u32> = (0..8).collect();
-        let generous = Instant::now() + std::time::Duration::from_secs(60);
-        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let out = parallel_map_deadline_salvage(par, &items, generous, |_, &x| {
-                assert!(x != 5, "poisoned item {x}");
-                x
-            });
-            for (i, r) in out.iter().enumerate() {
-                if i == 5 {
-                    match r {
-                        Err(AbmError::WorkerPanic { item, message }) => {
-                            assert_eq!(*item, 5, "{par}");
-                            assert!(message.contains("poisoned item 5"), "{par}: {message}");
-                        }
-                        other => panic!("{par}: expected WorkerPanic, got {other:?}"),
-                    }
-                } else {
-                    assert_eq!(r.as_ref().ok(), Some(&(i as u32)), "{par}");
-                }
-            }
-        }
+        let claimed: u64 = steal_counts(&sink).iter().map(|&(_, tasks)| tasks).sum();
+        assert_eq!(claimed as usize, completed);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! proof rules out wrap-around, hence re-packing the same additions
 //! into wider vectors cannot change a single bit.
 //!
-//! All `unsafe` lives in the single allowlisted island [`mod@x86`]
+//! All `unsafe` lives in the single allowlisted island `x86`
 //! (`cargo xtask lint` enforces both the confinement and the
 //! `INVARIANT:` comment on every unsafe block); this crate root denies
 //! `unsafe_code` so nothing escapes the island.

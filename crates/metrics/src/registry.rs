@@ -449,7 +449,7 @@ impl MetricsRegistry {
         &self.flight
     }
 
-    /// Counts an [`abm_fault`-style] error and freezes the flight
+    /// Counts an `abm_fault`-style error and freezes the flight
     /// recorder's current tail as the post-mortem dump.
     ///
     /// `context` must be a static metric-name-safe label (e.g.

@@ -23,7 +23,7 @@
 //! recovery ladder (re-lower → reference → dense) inside the workers
 //! and come back **bit-identical** — never silent. A failed request
 //! freezes a flight-recorder dump
-//! ([`abm_metrics::Registry::note_error`]) exactly like batch mode.
+//! ([`abm_metrics::MetricsRegistry::note_error`]) exactly like batch mode.
 
 use crate::cost::CostModel;
 use abm_conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
@@ -64,8 +64,9 @@ pub struct ServeConfig {
     pub intra_batch: Parallelism,
     /// Layer-pipelined execution depth; `< 2` selects the
     /// deadline-salvage batch executor
-    /// ([`Inferencer::run_batch_salvage_deadline`]), `>= 2` streams
-    /// each batch through [`Inferencer::run_batch_pipelined`].
+    /// ([`Inferencer::run_batch_salvage`]), `>= 2` streams each batch
+    /// through [`Inferencer::run_batch_pipelined`]. Both return one
+    /// outcome per request, so a bad request fails alone.
     pub pipeline_stages: usize,
     /// Deadline budget assumed for requests that do not carry one.
     pub default_deadline: Duration,
@@ -1028,12 +1029,9 @@ fn execute_batch(
         .unwrap_or_else(Instant::now);
 
     let mut outcomes = if cfg.pipeline_stages >= 2 {
-        match inferencer.run_batch_pipelined(prepared, inputs, cfg.pipeline_stages) {
-            Ok(results) => results.into_iter().map(Ok).collect(),
-            Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
-        }
+        inferencer.run_batch_pipelined(prepared, inputs, cfg.pipeline_stages)
     } else {
-        inferencer.run_batch_salvage_deadline(prepared, inputs, batch_deadline)
+        inferencer.run_batch_salvage(prepared, inputs, Some(batch_deadline))
     };
 
     let mut retries_spent = vec![0u32; inputs.len()];
@@ -1049,10 +1047,10 @@ fn execute_batch(
             if abm_metrics::enabled() {
                 abm_metrics::global().add("serve_retries_total", 1);
             }
-            let retried = inferencer.run_batch_salvage_deadline(
+            let retried = inferencer.run_batch_salvage(
                 prepared,
                 std::slice::from_ref(&inputs[i]),
-                meta[i].deadline,
+                Some(meta[i].deadline),
             );
             if let Some(r) = retried.into_iter().next() {
                 *slot = r.map_err(|e| match e {

@@ -38,7 +38,7 @@ use crate::memory::MemorySystem;
 use crate::run::{simulate_workload_collected, simulate_workload_with, LayerSim, NetworkSim};
 use crate::sched::SchedulingPolicy;
 use crate::task::Workload;
-use abm_conv::parallel::{parallel_map_deadline, Parallelism};
+use abm_conv::parallel::{parallel_map, Parallelism};
 use abm_fault::{AbmError, Injector};
 use abm_model::SparseModel;
 use abm_telemetry::Collector;
@@ -109,8 +109,7 @@ impl SimBudget {
     }
 }
 
-/// [`simulate_workload_collected`](crate::run::simulate_workload_collected)
-/// behind the fail-stop fault guards.
+/// [`simulate_workload_collected`] behind the fail-stop fault guards.
 ///
 /// When the injector is enabled, every timing-fault site is polled and
 /// checked against the absorption rules above *before* the simulation
@@ -254,8 +253,10 @@ fn check_bandwidth<I: Injector>(
 /// # Errors
 ///
 /// [`AbmError::WallBudgetExceeded`] / [`AbmError::CycleBudgetExceeded`]
-/// when a limit is hit, or [`AbmError::Encode`] (wrapped in
-/// [`AbmError::Layer`]) if a layer's weights cannot be encoded.
+/// when a limit is hit, [`AbmError::Encode`] (wrapped in
+/// [`AbmError::Layer`]) if a layer's weights cannot be encoded, or
+/// [`AbmError::WorkerPanic`] if a layer's simulation panicked on a pool
+/// worker.
 pub fn simulate_network_budgeted(
     model: &SparseModel,
     cfg: &AcceleratorConfig,
@@ -266,18 +267,32 @@ pub fn simulate_network_budgeted(
 ) -> Result<NetworkSim, AbmError> {
     let start = Instant::now();
     let sims: Vec<LayerSim> = if let Some(max_wall) = budget.max_wall {
-        let results =
-            parallel_map_deadline(parallelism, &model.layers, start + max_wall, |i, layer| {
+        let outcomes = parallel_map(
+            parallelism,
+            &model.layers,
+            None,
+            Some(start + max_wall),
+            |_, i, layer| {
                 Workload::from_layer(layer)
                     .map(|w| simulate_workload_with(&w, cfg, mem, policy, Parallelism::Serial))
                     .map_err(|e| AbmError::from(e).at_layer(i))
-            })
-            .map_err(|layers_done| AbmError::WallBudgetExceeded {
+            },
+        );
+        let layers_done = outcomes
+            .iter()
+            .filter(|o| !matches!(o, Err(AbmError::DeadlineExceeded { .. })))
+            .count();
+        if layers_done < outcomes.len() {
+            return Err(AbmError::WallBudgetExceeded {
                 layers_done,
                 elapsed_ms: start.elapsed().as_millis() as u64,
                 budget_ms: max_wall.as_millis() as u64,
-            })?;
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
+            });
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.and_then(|sim| sim))
+            .collect::<Result<Vec<_>, _>>()?
     } else {
         let mut sims = Vec::with_capacity(model.layers.len());
         let mut cycles = 0u64;

@@ -28,8 +28,39 @@ use crate::config::AcceleratorConfig;
 use crate::memory::MemorySystem;
 use crate::run::{simulate_layer_with, NetworkSim};
 use crate::sched::SchedulingPolicy;
-pub use abm_conv::parallel::{parallel_map, Parallelism};
+use abm_conv::parallel::parallel_map;
+pub use abm_conv::parallel::Parallelism;
+use abm_fault::AbmError;
 use abm_model::SparseModel;
+
+/// [`parallel_map`] for the simulator's pure maps, which cannot fail:
+/// results in item order, with a panic in `f` re-raised on the calling
+/// thread carrying its original message.
+///
+/// # Panics
+///
+/// Re-raises any panic from `f`.
+pub(crate) fn pure_map<T: Sync, R: Send>(
+    parallelism: Parallelism,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    parallel_map(parallelism, items, None, None, |_, _, item| f(item))
+        .into_iter()
+        .map(|outcome| {
+            outcome.unwrap_or_else(|e| {
+                let message = match e {
+                    AbmError::WorkerPanic { message, .. } => message,
+                    other => other.to_string(),
+                };
+                // INVARIANT: with no deadline the pool's only error is
+                // a caught panic in `f`; re-raising keeps this map's
+                // documented panics (and their messages) intact.
+                panic!("{message}")
+            })
+        })
+        .collect()
+}
 
 /// [`simulate_network`](crate::run::simulate_network) with an explicit
 /// host-parallelism setting (paper scheduler, DE5-Net memory).
@@ -73,7 +104,7 @@ pub fn simulate_network_with_parallelism(
     let layers = if model.layers.len() >= workers {
         // Enough layers to keep every worker busy: steal whole layers,
         // keep the per-kernel map serial to avoid nested pools.
-        parallel_map(parallelism, &model.layers, |_, layer| {
+        pure_map(parallelism, &model.layers, |layer| {
             // INVARIANT: documented panic — every synthesized zoo layer
             // encodes (u16 indices, nonzero kernels).
             simulate_layer_with(layer, cfg, mem, policy, Parallelism::Serial)

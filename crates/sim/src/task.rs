@@ -8,7 +8,7 @@
 
 use crate::config::AcceleratorConfig;
 use crate::lane;
-use abm_conv::parallel::{parallel_map, Parallelism};
+use crate::parallel::{pure_map, Parallelism};
 use abm_model::SparseLayer;
 use abm_sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
 
@@ -225,7 +225,7 @@ impl Workload {
         parallelism: Parallelism,
     ) -> Vec<u64> {
         let vectors = self.vectors_per_window(cfg, rows);
-        parallel_map(parallelism, self.flat.kernels(), |_, k| {
+        pure_map(parallelism, self.flat.kernels(), |k| {
             lane::lane_cycles_flat(k, vectors, cfg.n as u64, cfg.fifo_depth)
         })
     }

@@ -5,7 +5,7 @@
 //! `abm-verify` deliberately depends only on `abm-tensor`/`abm-sparse`,
 //! so this module is where the simulator's richer types are boiled down:
 //! the lowering geometry is recovered from the workload's
-//! [`FlatLayout`], schedule spans are observed through
+//! [`FlatLayout`](abm_sparse::FlatLayout), schedule spans are observed through
 //! [`schedule_window_with`]'s dispatch callback, and per-kernel FIFO
 //! demands come from the probed lane recurrence.
 

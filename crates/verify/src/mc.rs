@@ -2,7 +2,8 @@
 //!
 //! The repository has three hand-written concurrent protocols: the
 //! work-stealing injector loop behind `abm-conv`'s `parallel_map` (the
-//! host analogue of the paper's semi-synchronous CU scheduler), the
+//! one pool every data-parallel host path runs on, and the host
+//! analogue of the paper's semi-synchronous CU scheduler), the
 //! accumulator→FIFO→multiplier hand-off inside a lane (`abm-sim`'s
 //! timing recurrence models it; the hardware builds it), and the
 //! bounded inter-stage channels of the layer-pipelined executor (the
@@ -137,9 +138,13 @@ pub enum DequeFault {
     RacyPop,
 }
 
-/// Bounded model of `parallel_map`'s work-stealing loop: `tasks` queued
-/// up front in a mutex-protected injector, `workers` threads each
-/// looping steal → execute → steal until the queue is empty.
+/// Bounded model of the only work-stealing loop in the workspace,
+/// `parallel_map`'s: `tasks` queued up front in a mutex-protected
+/// injector, `workers` threads each looping steal → execute → steal
+/// until the queue is empty. A deadline only makes a worker stop
+/// claiming early (the unclaimed tasks come back typed), so the
+/// no-deadline run modeled here is the one that must execute every
+/// task exactly once.
 #[derive(Debug, Clone)]
 pub struct DequeModel {
     /// Worker threads (≤ 4).

@@ -40,8 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let serial = Inferencer::new(&model)
         .engine(Engine::Abm)
         .parallelism(Parallelism::Serial);
+    let prepared = serial.prepare()?;
     let t0 = Instant::now();
-    let serial_results = serial.run_batch(&batch)?;
+    let serial_results = serial.run_batch_prepared(&prepared, &batch)?;
     let serial_time = t0.elapsed();
     let serial_ips = BATCH as f64 / serial_time.as_secs_f64();
     println!("  serial      : {serial_time:>8.2?}  ({serial_ips:.2} images/s)");
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .engine(Engine::Abm)
         .parallelism(Parallelism::Auto);
     let t0 = Instant::now();
-    let parallel_results = parallel.run_batch(&batch)?;
+    let parallel_results = parallel.run_batch_prepared(&prepared, &batch)?;
     let parallel_time = t0.elapsed();
     let parallel_ips = BATCH as f64 / parallel_time.as_secs_f64();
     println!(

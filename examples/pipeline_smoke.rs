@@ -51,6 +51,8 @@ fn host_conformance(name: &str, net: &Network, model: &SparseModel) -> Result<()
     for n_stages in 1..=4 {
         let pipelined = inf
             .run_batch_pipelined(&prepared, &inputs, n_stages)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| e.to_string())?;
         if pipelined != sequential {
             return Err(format!(

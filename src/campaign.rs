@@ -3,7 +3,7 @@
 //!
 //! Each trial injects exactly one fault from a deterministic,
 //! seed-derived plan and resolves it to a
-//! [`FaultOutcome`](abm_fault::FaultOutcome):
+//! [`FaultOutcome`]:
 //!
 //! * **functional classes** (word flips, stream corruption, accumulator
 //!   upsets) run through the hardened inference path
@@ -12,21 +12,21 @@
 //!   reproduce the pristine logits bit-identically;
 //! * **timing classes** (FIFO stalls and drops, CU hangs, bandwidth
 //!   throttles) run through the simulator's fail-stop guards
-//!   ([`simulate_workload_guarded`](abm_sim::simulate_workload_guarded)),
+//!   ([`simulate_workload_guarded`]),
 //!   where a fault is either provably absorbed by slack (the guarded
-//!   [`LayerSim`](abm_sim::LayerSim) is bit-identical to the clean one)
+//!   [`LayerSim`] is bit-identical to the clean one)
 //!   or detected by a watchdog and recovered by fault-free replay;
 //! * **pipelined timing trials** re-inject the two dataflow-sensitive
 //!   classes — a FIFO stall at an inter-stage boundary and a CU hang on
 //!   a pipeline stage — into the layer-pipelined simulation
-//!   ([`simulate_pipeline_guarded`](abm_sim::simulate_pipeline_guarded)),
+//!   ([`simulate_pipeline_guarded`]),
 //!   where the provisioned FIFO margin / watchdog slack absorbs them or
 //!   the fail-stop guard trips and a fault-free replay of the whole
 //!   pipeline recovers bit-identically.
 //!
 //! Every injection, detection and recovery is also recorded on the
 //! attached [`TelemetrySink`] as
-//! [`Event::Fault`](abm_telemetry::Event::Fault)s, so a campaign
+//! [`Event::Fault`]s, so a campaign
 //! exports onto the same Chrome-trace timeline as the rest of the
 //! instrumentation.
 

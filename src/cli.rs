@@ -972,10 +972,10 @@ pub fn execute(command: &Command) -> Result<(), Box<dyn Error>> {
                     })
                 })
                 .collect();
-            let results = Inferencer::new(&model)
+            let inferencer = Inferencer::new(&model)
                 .parallelism(*parallelism)
-                .telemetry(sink)
-                .run_batch(&inputs)?;
+                .telemetry(sink);
+            let results = inferencer.run_batch_prepared(&inferencer.prepare()?, &inputs)?;
             // A collected simulation populates the sim_* aggregates
             // (mirrored 1:1 from the telemetry event stream).
             let cfg = if net == "alexnet" {

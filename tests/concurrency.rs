@@ -38,7 +38,7 @@ const POOLS: [Parallelism; 3] = [
     Parallelism::Auto,
 ];
 
-/// Parallel `run_batch` must be bit-identical to serial for every
+/// A parallel batch must be bit-identical to serial for every
 /// integer engine, across synthesis seeds (different weight streams)
 /// and pool sizes (different interleavings).
 #[test]
@@ -47,16 +47,18 @@ fn parallel_batch_is_bit_identical_for_every_engine() {
         let model = model(seed);
         let inputs = batch(&model, 6);
         for engine in [Engine::Dense, Engine::Sparse, Engine::Abm] {
-            let serial = Inferencer::new(&model)
-                .engine(engine)
+            let inf = Inferencer::new(&model).engine(engine);
+            let prepared = inf.prepare().unwrap();
+            let serial = inf
+                .clone()
                 .parallelism(Parallelism::Serial)
-                .run_batch(&inputs)
+                .run_batch_prepared(&prepared, &inputs)
                 .unwrap();
             for pool in POOLS {
-                let parallel = Inferencer::new(&model)
-                    .engine(engine)
+                let parallel = inf
+                    .clone()
                     .parallelism(pool)
-                    .run_batch(&inputs)
+                    .run_batch_prepared(&prepared, &inputs)
                     .unwrap();
                 assert_eq!(
                     serial, parallel,
@@ -80,8 +82,9 @@ fn shared_prepared_weights_are_reusable_and_stateless() {
     let first = inf.run_batch_prepared(&prepared, &inputs).unwrap();
     let second = inf.run_batch_prepared(&prepared, &inputs).unwrap();
     assert_eq!(first, second);
-    // And the prepared path equals the self-preparing path.
-    assert_eq!(first, inf.run_batch(&inputs).unwrap());
+    // And a fresh preparation gives the same results.
+    let fresh = inf.prepare().unwrap();
+    assert_eq!(first, inf.run_batch_prepared(&fresh, &inputs).unwrap());
 }
 
 /// The simulated cycle counts are pure functions of the model and
@@ -122,14 +125,15 @@ fn uneven_batches_stay_ordered() {
         (((c * 7 + r * 3 + col) % 200) as i16) - 100
     });
     let inf = Inferencer::new(&model).engine(Engine::Abm);
+    let prepared = inf.prepare().unwrap();
     let serial = inf
         .clone()
         .parallelism(Parallelism::Serial)
-        .run_batch(&inputs)
+        .run_batch_prepared(&prepared, &inputs)
         .unwrap();
     let parallel = inf
         .parallelism(Parallelism::Threads(4))
-        .run_batch(&inputs)
+        .run_batch_prepared(&prepared, &inputs)
         .unwrap();
     assert_eq!(serial, parallel);
     assert_ne!(serial[3], serial[2], "outlier image must differ");

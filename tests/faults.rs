@@ -103,7 +103,8 @@ fn corrupted_batch_item_is_salvaged_per_item() {
     let inferencer = Inferencer::new(&model)
         .engine(Engine::Abm)
         .parallelism(Parallelism::Threads(2));
-    let results = inferencer.run_batch_salvage(&inputs).unwrap();
+    let prepared = inferencer.prepare().unwrap();
+    let results = inferencer.run_batch_salvage(&prepared, &inputs, None);
     assert_eq!(results.len(), 3);
     assert!(results[0].is_ok());
     assert!(
@@ -115,14 +116,14 @@ fn corrupted_batch_item_is_salvaged_per_item() {
 
     // Salvaged items match a clean run bit-identically.
     let clean = inferencer
-        .run_batch(&[inputs[0].clone(), inputs[2].clone()])
+        .run_batch_prepared(&prepared, &[inputs[0].clone(), inputs[2].clone()])
         .unwrap();
     assert_eq!(results[0].as_ref().unwrap().logits, clean[0].logits);
     assert_eq!(results[2].as_ref().unwrap().logits, clean[1].logits);
 
     // The fail-fast path reports the same corruption as a hard error.
     assert!(matches!(
-        inferencer.run_batch(&inputs),
+        inferencer.run_batch_prepared(&prepared, &inputs),
         Err(AbmError::ShapeMismatch { .. })
     ));
 }

@@ -289,16 +289,11 @@ proptest! {
         let inputs = vec![synthetic_input(&net, 0), synthetic_input(&net, 1)];
         let registry = metrics::global();
         registry.set_enabled(false);
-        let off = Inferencer::new(&model)
-            .parallelism(Parallelism::Serial)
-            .run_batch(&inputs)
-            .unwrap();
+        let inf = Inferencer::new(&model).parallelism(Parallelism::Serial);
+        let off = inf.run_batch_prepared(&inf.prepare().unwrap(), &inputs).unwrap();
         fresh_registry();
-        let on = Inferencer::new(&model)
-            .parallelism(Parallelism::Serial)
-            .telemetry(metrics::flight_tee(TelemetrySink::new()))
-            .run_batch(&inputs)
-            .unwrap();
+        let inf = inf.telemetry(metrics::flight_tee(TelemetrySink::new()));
+        let on = inf.run_batch_prepared(&inf.prepare().unwrap(), &inputs).unwrap();
         prop_assert_eq!(off, on);
     }
 }
@@ -467,9 +462,8 @@ fn snapshot_expositions_are_well_formed() {
     let _guard = registry_lock();
     let (net, model) = tiny_model(0.6, 16, 3);
     let registry = fresh_registry();
-    Inferencer::new(&model)
-        .parallelism(Parallelism::Serial)
-        .run_batch(&[synthetic_input(&net, 0)])
+    let inf = Inferencer::new(&model).parallelism(Parallelism::Serial);
+    inf.run_batch_prepared(&inf.prepare().unwrap(), &[synthetic_input(&net, 0)])
         .unwrap();
     let snap = registry.snapshot();
     let text = snap.to_json();

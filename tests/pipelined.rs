@@ -4,7 +4,8 @@
 //! * **host executor** — [`Inferencer::run_batch_pipelined`] against
 //!   [`Inferencer::run_batch_prepared`]: whole [`InferenceResult`]s
 //!   (logits, probabilities, per-layer traces, work counters) must be
-//!   equal for every stage count, and errors must surface identically;
+//!   equal for every stage count, errors must surface identically, and
+//!   a bad item must fail alone;
 //! * **simulator** — a planned [`PipelinedSchedule`] must conserve the
 //!   sequential run's lane work exactly, stream every image to a
 //!   monotone finish, and verify clean under `abm-verify`'s pipeline
@@ -16,6 +17,7 @@
 //! survive the handoff.
 
 use abm_spconv_repro::conv::{Engine, Inferencer};
+use abm_spconv_repro::fault::AbmError;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile,
 };
@@ -77,6 +79,8 @@ fn pipelined_matches_sequential_for_every_stage_count_on_tiny() {
     for n_stages in [1usize, 2, 3, 4, 50] {
         let pipelined = inf
             .run_batch_pipelined(&prepared, &inputs, n_stages)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .unwrap();
         assert_eq!(sequential, pipelined, "n_stages = {n_stages}");
     }
@@ -98,10 +102,16 @@ fn pipelined_surfaces_the_same_error_as_sequential() {
     let abm = Inferencer::new(&model).engine(Engine::Abm);
     let inputs = batch(net.input_shape(), 3);
     let sequential = abm.run_batch_prepared(&prepared, &inputs).unwrap_err();
-    let pipelined = abm.run_batch_pipelined(&prepared, &inputs, 2).unwrap_err();
-    assert_eq!(sequential.to_string(), pipelined.to_string());
+    let pipelined = abm.run_batch_pipelined(&prepared, &inputs, 2);
+    assert_eq!(pipelined.len(), inputs.len());
+    for outcome in pipelined {
+        assert_eq!(sequential.to_string(), outcome.unwrap_err().to_string());
+    }
 }
 
+/// A wrong-shape image is rejected as it enters the pipeline, before
+/// any stage runs it, and fails alone: its batch mates still come back
+/// bit-identical to the data-parallel executor's.
 #[test]
 fn pipelined_rejects_bad_shapes_before_any_stage_runs() {
     let net = zoo::tiny();
@@ -109,8 +119,20 @@ fn pipelined_rejects_bad_shapes_before_any_stage_runs() {
     let model = synthesize_model(&net, &profile, 21);
     let inf = Inferencer::new(&model).engine(Engine::Abm);
     let prepared = inf.prepare().unwrap();
-    let bad = vec![image(Shape3::new(1, 4, 4), 0)];
-    assert!(inf.run_batch_pipelined(&prepared, &bad, 2).is_err());
+    let mut inputs = batch(net.input_shape(), 3);
+    inputs[1] = image(Shape3::new(1, 4, 4), 0);
+    let salvaged = inf.run_batch_salvage(&prepared, &inputs, None);
+    let pipelined = inf.run_batch_pipelined(&prepared, &inputs, 2);
+    assert_eq!(pipelined.len(), 3);
+    assert!(
+        matches!(pipelined[1], Err(AbmError::ShapeMismatch { .. })),
+        "bad item must fail alone, got {:?}",
+        pipelined[1]
+    );
+    for i in [0, 2] {
+        let got = pipelined[i].as_ref().unwrap();
+        assert_eq!(got, salvaged[i].as_ref().unwrap(), "item {i}");
+    }
 }
 
 proptest! {
@@ -140,7 +162,11 @@ proptest! {
         let prepared = inf.prepare().unwrap();
         let inputs = batch(net.input_shape(), batch_n);
         let sequential = inf.run_batch_prepared(&prepared, &inputs).unwrap();
-        let pipelined = inf.run_batch_pipelined(&prepared, &inputs, n_stages).unwrap();
+        let pipelined = inf
+            .run_batch_pipelined(&prepared, &inputs, n_stages)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         prop_assert_eq!(sequential, pipelined);
     }
 

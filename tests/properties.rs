@@ -379,10 +379,10 @@ proptest! {
             .collect();
 
         let run = |engine: Engine| {
-            Inferencer::new(&model)
+            let inf = Inferencer::new(&model)
                 .engine(engine)
-                .parallelism(Parallelism::Threads(2))
-                .run_batch(&inputs)
+                .parallelism(Parallelism::Threads(2));
+            inf.run_batch_prepared(&inf.prepare().unwrap(), &inputs)
                 .unwrap()
         };
         let dense = run(Engine::Dense);

@@ -1,6 +1,8 @@
 //! Integration tests for the `abm-serve` batching inference service:
-//! per-item deadline salvage (the `parallel_map_deadline` regression
-//! pinned from `crates/conv/src/infer.rs`), admission-control shed
+//! per-item deadline salvage (`Inferencer::run_batch_salvage` over the
+//! single work-stealing pool, which types every item it cannot finish
+//! instead of failing the whole batch), observable served batches
+//! (per-worker steal counts and span tracks), admission-control shed
 //! accounting, graceful drain, watchdog failover, the TCP front-end,
 //! and the chaos property: seeded fault plans during serving yield
 //! detected-or-masked outcomes — never silent — while unaffected
@@ -13,6 +15,7 @@ use abm_spconv_repro::serve::{
     synth_input, ChaosConfig, NetConfig, NetServer, ServeConfig, Server, Ticket,
 };
 use abm_spconv_repro::sim::AcceleratorConfig;
+use abm_spconv_repro::telemetry::{Event, TelemetrySink};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -83,10 +86,10 @@ fn salvage_with_generous_deadline_matches_plain_batch() {
     let plain = inferencer
         .run_batch_prepared(&prepared, &inputs)
         .expect("plain batch");
-    let salvaged = inferencer.run_batch_salvage_deadline(
+    let salvaged = inferencer.run_batch_salvage(
         &prepared,
         &inputs,
-        Instant::now() + Duration::from_secs(600),
+        Some(Instant::now() + Duration::from_secs(600)),
     );
 
     assert_eq!(salvaged.len(), inputs.len());
@@ -110,11 +113,10 @@ fn salvage_with_expired_deadline_types_every_item() {
     let inputs: Vec<_> = (0..3).map(|s| synth_input(shape, s)).collect();
 
     // A deadline already in the past: nothing may run, and every item
-    // must come back as its own typed DeadlineExceeded — the exact
-    // regression `parallel_map_deadline` used to collapse into one
+    // must come back as its own typed DeadlineExceeded, never one
     // batch-wide error.
     let expired = Instant::now() - Duration::from_millis(1);
-    let outcomes = inferencer.run_batch_salvage_deadline(&prepared, &inputs, expired);
+    let outcomes = inferencer.run_batch_salvage(&prepared, &inputs, Some(expired));
     assert_eq!(outcomes.len(), inputs.len());
     for (i, o) in outcomes.iter().enumerate() {
         match o {
@@ -123,6 +125,71 @@ fn salvage_with_expired_deadline_types_every_item() {
                 assert!(e.is_rejection(), "deadline cut must be a typed rejection");
             }
             other => panic!("item {i}: expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+}
+
+/// The served batch executor is observable: with a deadline and a
+/// sink, every worker reports its steal count and tags its layer spans
+/// with its own track, so concurrent images never share one.
+#[test]
+fn served_batch_records_steals_and_per_worker_tracks() {
+    let model = tiny_model();
+    let sink = TelemetrySink::new();
+    let inferencer = Inferencer::new(&model)
+        .parallelism(Parallelism::Threads(2))
+        .telemetry(sink.clone());
+    let prepared = inferencer.prepare().expect("prepare");
+    let shape = model.network.input_shape();
+    let inputs: Vec<_> = (0..6).map(|s| synth_input(shape, s)).collect();
+
+    let outcomes = inferencer.run_batch_salvage(
+        &prepared,
+        &inputs,
+        Some(Instant::now() + Duration::from_secs(600)),
+    );
+    assert!(outcomes.iter().all(Result::is_ok));
+
+    let events = sink.events();
+    let stolen: u64 = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::WorkerSteals { tasks, .. } => Some(*tasks),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(
+        stolen,
+        inputs.len() as u64,
+        "every image stolen exactly once"
+    );
+
+    let mut spans: Vec<(u32, u64, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::HostSpan {
+                track,
+                start_ns,
+                dur_ns,
+                ..
+            } => Some((*track, *start_ns, *dur_ns)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        spans.len(),
+        inputs.len() * model.network.conv_fc_layers().count()
+    );
+    spans.sort_unstable();
+    for pair in spans.windows(2) {
+        let ((track_a, start_a, dur_a), (track_b, start_b, _)) = (pair[0], pair[1]);
+        if track_a == track_b {
+            assert!(
+                start_a + dur_a <= start_b,
+                "spans overlap on track {track_a}: {:?} then {:?}",
+                pair[0],
+                pair[1]
+            );
         }
     }
 }

@@ -88,18 +88,13 @@ proptest! {
         } else {
             Parallelism::Threads(threads)
         };
-        let plain = Inferencer::new(&model)
+        let inf = Inferencer::new(&model)
             .engine(Engine::Abm)
-            .parallelism(parallelism)
-            .run_batch(&inputs)
-            .unwrap();
+            .parallelism(parallelism);
+        let plain = inf.run_batch_prepared(&inf.prepare().unwrap(), &inputs).unwrap();
         let sink = TelemetrySink::new();
-        let instrumented = Inferencer::new(&model)
-            .engine(Engine::Abm)
-            .parallelism(parallelism)
-            .telemetry(sink.clone())
-            .run_batch(&inputs)
-            .unwrap();
+        let inf = inf.telemetry(sink.clone());
+        let instrumented = inf.run_batch_prepared(&inf.prepare().unwrap(), &inputs).unwrap();
         prop_assert_eq!(&plain, &instrumented);
         let events = sink.events();
         let accel_layers = model.network.conv_fc_layers().count();

@@ -41,17 +41,18 @@ pub fn run(_root: &Path) -> Result<(), String> {
 
     // Property 1: registry off vs on, bit-identical outputs.
     registry.set_enabled(false);
-    let off = Inferencer::new(&model)
-        .parallelism(Parallelism::Serial)
-        .run_batch(&inputs)
+    let inferencer = Inferencer::new(&model).parallelism(Parallelism::Serial);
+    let off = inferencer
+        .prepare()
+        .and_then(|prepared| inferencer.run_batch_prepared(&prepared, &inputs))
         .map_err(|e| format!("registry-off run failed: {e}"))?;
     registry.set_enabled(true);
     registry.reset();
     let sink = metrics::flight_tee(TelemetrySink::new());
-    let on = Inferencer::new(&model)
-        .parallelism(Parallelism::Serial)
-        .telemetry(sink.clone())
-        .run_batch(&inputs)
+    let inferencer = inferencer.telemetry(sink.clone());
+    let on = inferencer
+        .prepare()
+        .and_then(|prepared| inferencer.run_batch_prepared(&prepared, &inputs))
         .map_err(|e| format!("registry-on run failed: {e}"))?;
     if off != on {
         return Err("metrics smoke FAILED: registry on/off runs diverge".into());
